@@ -21,8 +21,6 @@ import numpy as np
 from . import averaging, compactness, norms, rearrange, space as space_mod, svgplot
 from .errors import DomainError, MetricViolationError, NotInSpaceError
 
-_PASS_SLACK = 1e-9
-
 
 class CLIError(Exception):
     """Usage or input problem; maps to exit code 2."""
@@ -74,7 +72,11 @@ def _function_from_args(args, sp) -> rearrange.FunctionOnSpace:
     payload = _load_json(args.fn)
     if not isinstance(payload, dict) or "values" not in payload:
         raise CLIError("function JSON must be an object with a 'values' field")
-    return rearrange.FunctionOnSpace(sp, np.asarray(payload["values"], dtype=float))
+    try:
+        values = np.asarray(payload["values"], dtype=float)
+    except (TypeError, ValueError):
+        raise CLIError(f"function values in {args.fn} must be numbers")
+    return rearrange.FunctionOnSpace(sp, values)
 
 
 def _norm_spec(args) -> norms.NormSpec:
@@ -99,7 +101,7 @@ def _check(name: str, lhs: float, rhs: float, constants: dict) -> dict:
         "lhs": lhs,
         "rhs": rhs,
         "margin": rhs - lhs,
-        "pass": bool(lhs <= rhs * (1.0 + _PASS_SLACK) + 1e-15),
+        "pass": bool(averaging.holds(lhs, rhs)),
     }
 
 
@@ -155,53 +157,52 @@ def _trial_functions(args, sp, spec) -> list[rearrange.FunctionOnSpace]:
 
 
 def _verify_distribution(sp, fs, r, spec) -> tuple[list[dict], float, float]:
-    c, _ = averaging.distribution_constant(sp, r)
     checks, worst = [], 0.0
     for i, f in enumerate(fs):
-        for t in averaging.threshold_sweep(f):
-            rep = averaging.verify_distribution_inequality(sp, f, r, float(t))
-            ratio = rep.lhs / rep.rhs if rep.rhs > 0 else (0.0 if rep.lhs == 0 else math.inf)
-            if ratio >= worst:
-                worst = ratio
-                worst_check = _check(f"trial-{i}-t-{t:g}", rep.lhs, rep.rhs, {"c": c})
-        checks.append(worst_check)
-    return checks, worst, c
+        rep = averaging.verify_distribution_inequality(sp, f, r, averaging.threshold_sweep(f))
+        checks.append(_check(f"trial-{i}-t-{rep.t:g}", rep.lhs, rep.rhs,
+                             {"c": rep.constant_c}))
+        worst = max(worst, rep.ratio)
+    return checks, worst, rep.constant_c
 
 
 def _verify_rearrange(sp, fs, r, spec) -> tuple[list[dict], float, float]:
-    c, _ = averaging.distribution_constant(sp, r)
     checks, worst = [], 0.0
     for i, f in enumerate(fs):
         rep = averaging.verify_rearrangement_bound(sp, f, r)
         checks.append(_check(f"trial-{i}", rep.max_ratio, rep.constant_c,
-                             {"c": c, "worst_t": rep.worst_t}))
-        worst = max(worst, rep.max_ratio / c)
-    return checks, worst, c
+                             {"c": rep.constant_c, "worst_t": rep.worst_t}))
+        worst = max(worst, rep.max_ratio / rep.constant_c)
+    return checks, worst, rep.constant_c
 
 
 def _verify_operator_bound(sp, fs, r, spec) -> tuple[list[dict], float, float]:
-    checks, worst, c = [], 0.0, None
+    checks, worst = [], 0.0
     for i, f in enumerate(fs):
         rep = averaging.verify_operator_bound(sp, f, r, spec)
-        c = rep.constant_c
         checks.append(_check(f"trial-{i}", rep.lhs, rep.rhs,
-                             {"c": c, "factor": rep.factor}))
+                             {"c": rep.constant_c, "factor": rep.factor}))
         if rep.rhs > 0:
             worst = max(worst, rep.lhs / rep.rhs)
-    return checks, worst, c
+    return checks, worst, rep.constant_c
 
 
 def _verify_equicontinuity(sp, fs, r, spec) -> tuple[list[dict], float, float | None]:
     bound = averaging.equicontinuity_bound_matrix(sp, r, spec)
-    np.fill_diagonal(bound, math.inf)
+    # A zero bound means equal balls (the diagonal included), where
+    # A_r f(x) = A_r f(y) exactly; only the other pairs are compared.
+    pairs = np.flatnonzero(bound > 0)
+    if pairs.size == 0:
+        raise CLIError(f"every ball of radius {r:g} is the same atom set, so the "
+                       "modulus is identically 0")
     kernel = averaging.AveragingKernel.build(sp, r)
     worst, checks = 0.0, []
     for i, f in enumerate(fs):
         avg = kernel.apply(f).values
-        ratio = np.abs(avg[:, None] - avg[None, :]) / bound
+        ratio = np.abs(avg[:, None] - avg[None, :]).flat[pairs] / bound.flat[pairs]
         j = int(np.argmax(ratio))
-        x, y = divmod(j, sp.natoms)
-        worst = max(worst, float(ratio[x, y]))
+        x, y = divmod(int(pairs[j]), sp.natoms)
+        worst = max(worst, float(ratio[j]))
         checks.append(_check(f"trial-{i}-pair-{x}-{y}",
                              float(abs(avg[x] - avg[y])), float(bound[x, y]), {}))
     if spec.variant == norms.PLAIN and spec.p == spec.q:
@@ -218,6 +219,8 @@ def _cmd_verify(args) -> int:
     spec = _norm_spec(args)
     if args.r <= 0:
         raise CLIError("--r must be positive")
+    if args.trials < 1:
+        raise CLIError("--trials must be at least 1")
     fs = _trial_functions(args, sp, spec)
     handler = {
         "distribution": _verify_distribution,
@@ -244,29 +247,24 @@ def _cmd_witness(args) -> int:
     sp = _space_from_args(args)
     spec = _norm_spec(args)
     rep = compactness.witness_sequence(sp, args.r, args.k, spec)
-    if rep.bounded_regime:
-        _emit_json({
-            "command": ["witness"],
-            "inputs": _input_digests(args),
-            "bounded_regime": True,
-            "centers": rep.centers,
-            "c_lower": rep.c_lower,
-            "pass": True,
-        }, args.out)
-        return 0
-    passed = rep.min_pairwise >= rep.c_lower * (1.0 - _PASS_SLACK)
-    _emit_json({
+    # The bounded regime has no witness pair, so there is nothing to fail.
+    report = {
         "command": ["witness"],
         "inputs": _input_digests(args),
-        "bounded_regime": False,
+        "bounded_regime": rep.bounded_regime,
         "centers": rep.centers,
         "c_lower": rep.c_lower,
-        "min_pairwise": rep.min_pairwise,
-        "distances": [[float(d) for d in row] for row in rep.distances],
-        "witness_norms": rep.witness_norms,
-        "pass": bool(passed),
-    }, args.out)
-    return 0 if passed else 1
+        "pass": True,
+    }
+    if not rep.bounded_regime:
+        report.update({
+            "min_pairwise": rep.min_pairwise,
+            "distances": [[float(d) for d in row] for row in rep.distances],
+            "witness_norms": rep.witness_norms,
+            "pass": bool(averaging.holds(rep.c_lower, rep.min_pairwise)),
+        })
+    _emit_json(report, args.out)
+    return 0 if report["pass"] else 1
 
 
 def _parse_family(raw: str) -> tuple[list[space_mod.MetricMeasureSpace], list[str]]:
@@ -277,6 +275,8 @@ def _parse_family(raw: str) -> tuple[list[space_mod.MetricMeasureSpace], list[st
         nums = [int(p) for p in parts[1:]]
     except ValueError:
         raise CLIError(f"bad family bounds in {raw!r}")
+    if len(nums) == 3 and nums[2] < 1:
+        raise CLIError(f"family step must be positive in {raw!r}")
     sizes = nums if len(nums) == 1 else list(range(nums[0], nums[1] + 1, nums[2]))
     if not sizes:
         raise CLIError("family is empty")

@@ -22,7 +22,7 @@ from .averaging import AveragingKernel
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lorentz_norm
 from .rearrange import FunctionOnSpace
-from .space import MetricMeasureSpace, min_ball_ratio, separated_points
+from .space import MetricMeasureSpace, greedy_scan, min_ball_ratio, separated_points
 
 
 def norm_distance(f: FunctionOnSpace, g: FunctionOnSpace, spec: NormSpec) -> float:
@@ -80,12 +80,13 @@ def covering_number(points: list[FunctionOnSpace], epsilon: float,
         raise DomainError("epsilon must be positive")
     net: list[int] = []
     max_residual = 0.0
-    for i, f in enumerate(points):
-        dists = [norm_distance(f, points[j], spec) for j in net]
-        if not dists or min(dists) > epsilon:
+    scan = greedy_scan(len(points), lambda i, kept: [norm_distance(points[i], points[j], spec)
+                                                     for j in kept], epsilon)
+    for i, keep, nearest in scan:
+        if keep:
             net.append(i)
         else:
-            max_residual = max(max_residual, min(dists))
+            max_residual = max(max_residual, nearest)
     return CoveringReport(epsilon=float(epsilon), n_points=len(points),
                           k=len(net), net_indices=net, max_residual=max_residual)
 
@@ -231,11 +232,8 @@ class ProbeRow:
 
 def _separated_count(distances: np.ndarray, epsilon: float) -> int:
     """Greedy count of pairwise-(> epsilon) points from a distance matrix."""
-    kept: list[int] = []
-    for i in range(distances.shape[0]):
-        if all(distances[i, j] > epsilon for j in kept):
-            kept.append(i)
-    return len(kept)
+    scan = greedy_scan(distances.shape[0], lambda i, kept: distances[i, kept], epsilon)
+    return sum(keep for _, keep, _ in scan)
 
 
 def compactness_probe(spaces: list[MetricMeasureSpace], r: float, spec: NormSpec,

@@ -59,11 +59,14 @@ class FunctionOnSpace:
     def __abs__(self) -> "FunctionOnSpace":
         return FunctionOnSpace(self.space, np.abs(self.values))
 
+    def __eq__(self, other) -> bool:
+        """Same space and the same value at every atom."""
+        if not isinstance(other, FunctionOnSpace):
+            return NotImplemented
+        return other.space == self.space and np.array_equal(other.values, self.values)
+
     def _check_same_space(self, other: "FunctionOnSpace") -> None:
-        if other.space is not self.space and not (
-            np.array_equal(other.space.dist, self.space.dist)
-            and np.array_equal(other.space.weights, self.space.weights)
-        ):
+        if other.space != self.space:
             raise DomainError("functions live on different spaces")
 
     def to_json(self) -> dict:
@@ -106,11 +109,6 @@ class StepFunction:
         out = padded[np.minimum(idx, self.levels.size)]
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def support_length(self) -> float:
-        """Length of {t : value > 0}."""
-        return float(self.breakpoints[-1])
-
     def integral(self) -> float:
         """Exact integral over [0, inf)."""
         return float(np.dot(self.levels, np.diff(self.breakpoints)))
@@ -133,13 +131,10 @@ def _level_weights(f: FunctionOnSpace):
 
     Returns (values desc, group weights, cumulative weights).  Both mu_f
     and f* are assembled from these arrays, so the two representations
-    use bitwise-identical partial sums.
+    use bitwise-identical partial sums.  All three are empty for f = 0.
     """
     av = np.abs(f.values)
     pos = av > 0
-    if not pos.any():
-        empty = np.array([])
-        return empty, empty, empty
     uniq, inverse = np.unique(av[pos], return_inverse=True)
     group_w = np.bincount(inverse, weights=f.space.weights[pos])
     values_desc = uniq[::-1]
@@ -150,8 +145,6 @@ def _level_weights(f: FunctionOnSpace):
 def distribution_function(f: FunctionOnSpace) -> StepFunction:
     """mu_f(t) = mu({|f| > t}); breakpoints at the distinct positive |f| values."""
     values_desc, _, cum = _level_weights(f)
-    if values_desc.size == 0:
-        return StepFunction(np.array([0.0]), np.array([]))
     # On [values[i+1], values[i]) the measure of {|f| > t} is cum[i].
     return StepFunction(np.concatenate(([0.0], values_desc[::-1])), cum[::-1])
 
@@ -159,8 +152,6 @@ def distribution_function(f: FunctionOnSpace) -> StepFunction:
 def rearrangement(f: FunctionOnSpace) -> StepFunction:
     """f*: the distinct |f| values on intervals of length = merged weights."""
     values_desc, _, cum = _level_weights(f)
-    if values_desc.size == 0:
-        return StepFunction(np.array([0.0]), np.array([]))
     return StepFunction(np.concatenate(([0.0], cum)), values_desc)
 
 

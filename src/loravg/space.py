@@ -8,6 +8,8 @@ set operations are finite enumerations, so the quantities studied here
 up to floating-point rounding.
 """
 
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -100,12 +102,12 @@ class MetricMeasureSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
-    def measure(self, atoms) -> float:
-        """mu(A) for A given as an index array or boolean mask."""
-        atoms = np.asarray(atoms)
-        if atoms.dtype == bool:
-            return float(self.weights[atoms].sum())
-        return float(self.weights[atoms].sum())
+    def __eq__(self, other) -> bool:
+        """Same distances and weights, however the metric was checked."""
+        if not isinstance(other, MetricMeasureSpace):
+            return NotImplemented
+        return other is self or (np.array_equal(other.dist, self.dist)
+                                 and np.array_equal(other.weights, self.weights))
 
     def ball_mask(self, x: int, r: float) -> np.ndarray:
         """Boolean mask of the closed ball B(x, r)."""
@@ -171,7 +173,7 @@ class MetricMeasureSpace:
         from scipy.sparse.csgraph import shortest_path
 
         edges = list(edges)
-        if any(len(e) != 3 for e in edges):
+        if any(np.shape(e) != (3,) for e in edges):
             raise DomainError("edges must be (u, v, weight) triples")
         u = np.array([e[0] for e in edges], dtype=int)
         v = np.array([e[1] for e in edges], dtype=int)
@@ -200,34 +202,44 @@ class MetricMeasureSpace:
         }
 
 
+def _field(spec: dict, key: str, convert=lambda raw: np.asarray(raw, dtype=float)):
+    """convert(spec[key]), by default a float array; DomainError if the
+    field does not convert."""
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"space field {key!r} is not numeric")
+
+
 def build_space(spec: dict) -> MetricMeasureSpace:
     """Build a space from its JSON description.
 
     kind "matrix" needs "dist"; "cloud" needs "coords" (+ optional
     "metric"); "lattice" needs "L"; "graph" needs "n" and "edges" as
-    [u, v, weight] triples.  "weights" defaults to 1.0 per atom.
+    [u, v, weight] triples.  "weights" defaults to 1.0 per atom.  An
+    explicit matrix is always checked against the metric axioms.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("space description must be an object with a 'kind'")
     kind = spec["kind"]
-    weights = spec.get("weights")
+    weights = None if spec.get("weights") is None else _field(spec, "weights")
     if kind == "matrix":
         if "dist" not in spec:
             raise DomainError("matrix space needs a 'dist' field")
-        dist = np.asarray(spec["dist"], dtype=float)
+        dist = _field(spec, "dist")
         if weights is None:
-            weights = np.ones(dist.shape[0])
-        return MetricMeasureSpace.from_matrix(
-            dist, weights, skip_validation=bool(spec.get("skip_validation", False)))
+            weights = np.ones(dist.shape[0] if dist.ndim else 0)
+        return MetricMeasureSpace.from_matrix(dist, weights)
     if kind == "cloud":
         if "coords" not in spec:
             raise DomainError("cloud space needs a 'coords' field")
         return MetricMeasureSpace.from_cloud(
-            spec["coords"], metric=spec.get("metric", "euclidean"), weights=weights)
+            _field(spec, "coords"), metric=spec.get("metric", "euclidean"),
+            weights=weights)
     if kind == "lattice":
         if "L" not in spec:
             raise DomainError("lattice space needs an 'L' field")
-        space = MetricMeasureSpace.lattice(int(spec["L"]))
+        space = MetricMeasureSpace.lattice(_field(spec, "L", int))
         if weights is not None:
             return MetricMeasureSpace.from_matrix(space.dist, weights,
                                                   skip_validation=True)
@@ -235,7 +247,7 @@ def build_space(spec: dict) -> MetricMeasureSpace:
     if kind == "graph":
         if "n" not in spec or "edges" not in spec:
             raise DomainError("graph space needs 'n' and 'edges' fields")
-        return MetricMeasureSpace.from_graph(int(spec["n"]), spec["edges"],
+        return MetricMeasureSpace.from_graph(_field(spec, "n", int), _field(spec, "edges"),
                                              weights=weights)
     raise DomainError(f"unknown space kind {kind!r}")
 
@@ -268,6 +280,20 @@ def doubling_constant(space: MetricMeasureSpace, s: float) -> DoublingReport:
                           ratios=ratios, argmax_atom=argmax)
 
 
+def greedy_scan(count: int, distances_to, threshold: float):
+    """Scan points 0..count-1 in order, keeping a point iff it is more than
+    threshold away from every point kept before it; distances_to(i, kept)
+    gives those distances.  Yields (i, kept_i, least distance to the kept)."""
+    kept: list[int] = []
+    for i in range(count):
+        d = distances_to(i, kept)
+        nearest = float(np.min(d)) if len(d) else math.inf
+        keep = nearest > threshold
+        if keep:
+            kept.append(i)
+        yield i, keep, nearest
+
+
 def separated_points(space: MetricMeasureSpace, delta: float, k: int) -> list[int]:
     """Up to k atoms with pairwise distance strictly greater than delta.
 
@@ -278,13 +304,8 @@ def separated_points(space: MetricMeasureSpace, delta: float, k: int) -> list[in
         raise DomainError("separation delta must be positive")
     if k < 1:
         raise DomainError("need k >= 1")
-    chosen: list[int] = []
-    for x in range(space.natoms):
-        if all(space.dist[x, y] > delta for y in chosen):
-            chosen.append(x)
-            if len(chosen) == k:
-                break
-    return chosen
+    scan = greedy_scan(space.natoms, lambda x, kept: space.dist[x, kept], delta)
+    return list(itertools.islice((x for x, keep, _ in scan if keep), k))
 
 
 def vitali_subfamily(space: MetricMeasureSpace, balls):
@@ -292,7 +313,8 @@ def vitali_subfamily(space: MetricMeasureSpace, balls):
 
     Greedy in decreasing radius (ties by lower center index); a ball is
     kept iff it shares no atom with any previously kept ball.  Both the
-    disjointness and the 5x coverage are asserted before returning.
+    disjointness and the 5x coverage are checked before returning; a
+    failure of either raises RuntimeError.
     """
     balls = [(int(c), float(r)) for c, r in balls]
     for c, r in balls:
@@ -314,11 +336,13 @@ def vitali_subfamily(space: MetricMeasureSpace, balls):
     input_union = np.zeros(space.natoms, dtype=bool)
     for c, r in balls:
         input_union |= space.ball_mask(c, r)
-    assert not np.any(input_union & ~kept_union5), "5r enlargement must cover"
+    if np.any(input_union & ~kept_union5):
+        raise RuntimeError("the 5r enlargements of the kept balls must cover the input")
     kept_masks = [space.ball_mask(c, r) for c, r in kept]
     for i in range(len(kept_masks)):
         for j in range(i + 1, len(kept_masks)):
-            assert not (kept_masks[i] & kept_masks[j]).any(), "kept balls overlap"
+            if (kept_masks[i] & kept_masks[j]).any():
+                raise RuntimeError("kept Vitali balls overlap")
     return kept
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from loravg import FunctionOnSpace, MetricMeasureSpace
 
@@ -54,3 +55,22 @@ def random_radius(rng, space) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+@st.composite
+def matrix_cases(draw, max_atoms=8):
+    """(space, function, radius) on a small validated matrix space.
+
+    Atoms sit on an integer grid under the l1 metric, so distances tie
+    exactly and coincident atoms give distinct atoms identical balls."""
+    n = draw(st.integers(1, max_atoms))
+    coords = np.array(draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                    min_size=n, max_size=n)), dtype=float)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    weights = draw(st.lists(st.sampled_from([0.1, 0.3, 1.0, 2.7]), min_size=n, max_size=n))
+    values = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]),
+                                     st.floats(-10, 10).map(lambda v: round(v, 6))),
+                           min_size=n, max_size=n))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0, 20.0]))
+    space = MetricMeasureSpace.from_matrix(dist, weights)
+    return space, FunctionOnSpace(space, values), radius

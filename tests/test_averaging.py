@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from loravg import (
     AveragingKernel,
@@ -20,8 +21,11 @@ from loravg import (
     verify_operator_bound,
     verify_rearrangement_bound,
 )
-from loravg.averaging import equicontinuity_bound_matrix, threshold_sweep
-from conftest import random_function, random_radius, random_space
+from loravg import averaging
+from loravg.averaging import equicontinuity_bound_matrix, holds, threshold_sweep
+from loravg.rearrange import distribution_function
+from loravg.space import doubling_constant
+from conftest import matrix_cases, random_function, random_radius, random_space
 
 
 def test_average_examples():
@@ -114,6 +118,22 @@ def test_equicontinuity_bound_dominates(rng):
         assert np.all(diff[off] <= bounds[off] * (1 + 1e-9))
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrix_cases())
+def test_equicontinuity_matrix_matches_pairwise_modulus(case):
+    sp, _, r = case
+    spec = NormSpec(2, 2)
+    bounds = equicontinuity_bound_matrix(sp, r, spec)
+    masks = sp.ball_masks(r)
+    for x in range(sp.natoms):
+        for y in range(sp.natoms):
+            b, _ = equicontinuity_modulus(sp, x, y, r, spec)
+            if np.array_equal(masks[x], masks[y]):
+                assert bounds[x, y] == 0.0 == b
+            else:
+                assert bounds[x, y] == pytest.approx(b, rel=1e-12)
+
+
 def test_extremal_attains_dual_norm(rng):
     sp = MetricMeasureSpace.lattice(60)
     for p in (2.0, 3.0):
@@ -158,6 +178,53 @@ def test_distribution_inequality_sweep(rng):
             assert verify_distribution_inequality(sp, f, r, float(t)).passed
 
 
+def _reference_distribution(sp, f, r, t):
+    """(c, lhs, rhs) at one threshold, with c and A_r f rebuilt for it."""
+    g1, g2, g3 = (doubling_constant(sp, s).gamma for s in (r, 2 * r, 4 * r))
+    c = g1 * g2 * g3 + 1.0
+    lhs = distribution_function(average(sp, f, r))(c * t)
+    av = np.abs(f.values)
+    above = av > t
+    return c, lhs, float(np.sum(sp.weights[above] * av[above])) / t
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases())
+def test_distribution_grid_matches_per_threshold_loop(case):
+    sp, f, r = case
+    grid = threshold_sweep(f)
+    if grid.size == 0:
+        with pytest.raises(DomainError):
+            verify_distribution_inequality(sp, f, r, grid)
+        return
+    rep = verify_distribution_inequality(sp, f, r, grid)
+    singles = [verify_distribution_inequality(sp, f, r, float(t)) for t in grid]
+    worst, worst_ratio = None, 0.0
+    for i, (t, single) in enumerate(zip(grid, singles)):
+        c, lhs, rhs = _reference_distribution(sp, f, r, t)
+        assert single.constant_c == c and single.t == t
+        assert single.lhs == lhs
+        assert single.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+        assert single.passed == holds(lhs, rhs)
+        ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+        if ratio >= worst_ratio:
+            worst, worst_ratio = i, ratio
+    assert rep.passed == all(single.passed for single in singles)
+    assert rep.t == grid[worst]
+    assert (rep.lhs, rep.rhs) == (singles[worst].lhs, singles[worst].rhs)
+    assert rep.ratio == pytest.approx(worst_ratio, rel=1e-12)
+
+
+def test_distribution_report_names_a_failing_threshold(monkeypatch):
+    sp = MetricMeasureSpace.lattice(20)
+    f = FunctionOnSpace(sp, np.linspace(-1.0, 3.0, 21))
+    monkeypatch.setattr(averaging, "distribution_constant",
+                        lambda space, r: (0.05, (1.0, 1.0, 1.0)))
+    rep = verify_distribution_inequality(sp, f, 1.0, threshold_sweep(f))
+    assert not rep.passed
+    assert not holds(rep.lhs, rep.rhs)
+
+
 def test_threshold_sweep_covers_breakpoints():
     sp = MetricMeasureSpace.lattice(4)
     f = FunctionOnSpace(sp, [3, 1, 2, 0, -1])
@@ -165,6 +232,11 @@ def test_threshold_sweep_covers_breakpoints():
     for v in (1.0, 2.0, 3.0):
         assert v in grid
     assert grid[0] == 0.5 and grid[-1] == 6.0
+
+    tiny = FunctionOnSpace(sp, [5e-324, 1e-200, 0, 1, 2])  # 5e-324 / 2 underflows to 0
+    assert threshold_sweep(tiny)[0] == 5e-324
+    with np.errstate(over="ignore"):  # the right side at t = 5e-324 is inf
+        assert verify_distribution_inequality(sp, tiny, 1.0, threshold_sweep(tiny)).passed
 
 
 def test_rearrangement_bound_examples(rng):

@@ -186,3 +186,90 @@ def test_approx_subcommand(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["error"] <= 0.6
     assert len(payload["centers"]) == len(payload["radii"])
+
+
+@pytest.mark.parametrize("lemma", ["distribution", "rearrange"])
+def test_verify_zero_function_exits_two(capsys, tmp_path, space_file, lemma):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"values": [0] * 10}))
+    code, out = run(capsys, "verify", "--lemma", lemma, "--space", space_file,
+                    "--fn", str(zero), "--r", "1", "--p", "2", "--q", "2")
+    assert code == 2 and out == ""
+
+
+def test_verify_distribution_reports_each_trial(capsys, tmp_path):
+    from loravg import FunctionOnSpace, MetricMeasureSpace, verify_distribution_inequality
+    from loravg.averaging import threshold_sweep
+
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps({"kind": "lattice", "L": 10}))
+    code, out = run(capsys, "verify", "--lemma", "distribution", "--space", str(space),
+                    "--r", "1", "--p", "2", "--q", "2", "--seed", "2", "--trials", "4")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    sp = MetricMeasureSpace.lattice(10)
+    rng = np.random.default_rng(2)
+    for i, check in enumerate(checks):
+        f = FunctionOnSpace(sp, rng.standard_normal(11))
+        rep = verify_distribution_inequality(sp, f, 1.0, threshold_sweep(f))
+        assert check["name"] == f"trial-{i}-t-{rep.t:g}"
+        assert (check["lhs"], check["rhs"]) == (rep.lhs, rep.rhs)
+    assert len(checks) == 4
+
+
+@pytest.mark.parametrize("lemma", ["distribution", "rearrange", "operator-bound",
+                                   "equicontinuity"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_needs_a_trial(capsys, space_file, lemma, trials):
+    code, out = run(capsys, "verify", "--lemma", lemma, "--space", space_file,
+                    "--r", "1", "--p", "2", "--q", "2", "--seed", "1", "--trials", trials)
+    assert code == 2 and out == ""
+
+
+def test_verify_equicontinuity_skips_equal_balls(capsys, tmp_path):
+    """Pairs of atoms with the same ball have a zero bound and no 0/0."""
+    import warnings
+
+    from loravg import NormSpec, build_space
+    from loravg.averaging import equicontinuity_bound_matrix
+
+    spec = {"kind": "cloud", "metric": "l1",
+            "coords": [[x] for x in (0.0, 0.1, 5.0, 5.1, 5.2, 10.0, 10.4, 11.0)]}
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "verify", "--lemma", "equicontinuity", "--space", str(space),
+                        "--r", "1", "--p", "2", "--q", "2", "--seed", "3", "--trials", "6")
+    assert code == 0
+    bound = equicontinuity_bound_matrix(build_space(spec), 1.0, NormSpec(2, 2))
+    trial_checks = [ch for ch in json.loads(out)["checks"] if ch["name"].startswith("trial-")]
+    assert len(trial_checks) == 6
+    for check in trial_checks:
+        x, y = map(int, check["name"].split("-")[3:])
+        assert bound[x, y] > 0 and check["rhs"] == bound[x, y]
+
+
+def test_probe_zero_step_exits_two(capsys):
+    code = dispatch(["probe", "--family", "lattice:10:20:0", "--r", "1", "--p", "2",
+                     "--q", "2", "--epsilon", "0.3", "--n", "5", "--seed", "1"])
+    assert code == 2
+    assert "step" in capsys.readouterr().err
+
+
+def test_non_numeric_function_value_exits_two(capsys, tmp_path, space_file):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": [1, "x"] + [0] * 8}))
+    code, out = run(capsys, "norm", "--space", space_file, "--fn", str(fn),
+                    "--p", "2", "--q", "2")
+    assert code == 2 and out == ""
+
+
+def test_skip_validation_key_cannot_admit_a_non_metric(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "matrix", "skip_validation": True,
+                               "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
+    code = dispatch(["build-space", "--space", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "triangle" in captured.err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loravg import (
     FunctionOnSpace,
@@ -19,7 +21,7 @@ from loravg import (
     witness_sequence,
 )
 from loravg.compactness import norm_distance
-from conftest import random_function, random_space
+from conftest import matrix_cases, random_function, random_space
 
 SPEC = NormSpec(2, 2)
 
@@ -67,6 +69,30 @@ def test_covering_net_covers(rng):
     for i, a in enumerate(rep.net_indices):
         for b in rep.net_indices[i + 1:]:
             assert norm_distance(pts[a], pts[b], SPEC) > eps
+
+
+def _reference_covering(points, epsilon, spec):
+    net, max_residual = [], 0.0
+    for i, f in enumerate(points):
+        dists = [norm_distance(f, points[j], spec) for j in net]
+        if not dists or min(dists) > epsilon:
+            net.append(i)
+        else:
+            max_residual = max(max_residual, min(dists))
+    return net, max_residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_cases(max_atoms=6), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 2.5]))
+def test_covering_number_matches_reference_loop(case, seed, epsilon):
+    sp = case[0]
+    rng = np.random.default_rng(seed)
+    points = [FunctionOnSpace(sp, np.round(rng.standard_normal(sp.natoms), 1))
+              for _ in range(12)]
+    rep = covering_number(points, epsilon, SPEC)
+    net, max_residual = _reference_covering(points, epsilon, SPEC)
+    assert rep.net_indices == net and rep.k == len(net)
+    assert rep.max_residual == max_residual
 
 
 def test_witness_lattice100():

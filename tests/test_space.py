@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loravg import (
     DomainError,
+    FunctionOnSpace,
     MetricMeasureSpace,
     MetricViolationError,
     ball,
@@ -14,7 +17,8 @@ from loravg import (
     symm_diff_measure,
     vitali_subfamily,
 )
-from conftest import random_space
+from loravg.compactness import _separated_count
+from conftest import matrix_cases, random_space
 
 
 def brute_ball(space, x, r):
@@ -147,6 +151,32 @@ def test_separated_points_property(rng):
                 assert sp.dist[x, y] > delta
 
 
+def _reference_separated_points(space, delta, k):
+    chosen = []
+    for x in range(space.natoms):
+        if all(space.dist[x, y] > delta for y in chosen):
+            chosen.append(x)
+            if len(chosen) == k:
+                break
+    return chosen
+
+
+def _reference_separated_count(distances, epsilon):
+    kept = []
+    for i in range(distances.shape[0]):
+        if all(distances[i, j] > epsilon for j in kept):
+            kept.append(i)
+    return len(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases(max_atoms=12), st.sampled_from([0.5, 1.0, 2.0, 3.5]), st.integers(1, 12))
+def test_greedy_scan_matches_reference_loops(case, delta, k):
+    sp = case[0]
+    assert separated_points(sp, delta, k) == _reference_separated_points(sp, delta, k)
+    assert _separated_count(sp.dist, delta) == _reference_separated_count(sp.dist, delta)
+
+
 def test_vitali_spec_trace():
     sp = MetricMeasureSpace.lattice(10)
     kept = vitali_subfamily(sp, [(0, 1.0), (1, 1.0), (2, 1.0)])
@@ -218,6 +248,40 @@ def test_build_space_kinds():
     assert graph.dist[0, 2] == pytest.approx(3.0)
     with pytest.raises(DomainError):
         build_space({"kind": "nope"})
+
+
+def test_build_space_validates_every_json_matrix():
+    bad = {"kind": "matrix", "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
+    with pytest.raises(MetricViolationError):
+        build_space(dict(bad, skip_validation=True))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "matrix", "dist": [[0, "x"], ["x", 0]]},
+    {"kind": "matrix", "dist": [[0, 1], [1]]},
+    {"kind": "matrix", "dist": 5},
+    {"kind": "lattice", "L": "ten"},
+    {"kind": "lattice", "L": None},
+    {"kind": "lattice", "L": 3, "weights": ["a", 1, 1, 1]},
+    {"kind": "cloud", "coords": [[0.0], ["a"]]},
+    {"kind": "graph", "n": 2, "edges": [[0, 1, "w"]]},
+    {"kind": "graph", "n": 3, "edges": [0, 1, 2]},
+])
+def test_build_space_rejects_malformed_fields(spec):
+    with pytest.raises(DomainError):
+        build_space(spec)
+
+
+def test_space_and_function_equality():
+    a = MetricMeasureSpace.lattice(3)
+    b = MetricMeasureSpace.from_matrix(a.dist, a.weights)
+    assert a == b and not a != b
+    assert a != MetricMeasureSpace.from_matrix(a.dist, [1, 1, 1, 2])
+    f, g = FunctionOnSpace(a, [1, 2, 3, 4]), FunctionOnSpace(b, [1, 2, 3, 4])
+    assert f == g and f != FunctionOnSpace(a, [1, 2, 3, 5])
+    assert f + g == FunctionOnSpace(a, [2, 4, 6, 8])
+    with pytest.raises(DomainError):
+        f + FunctionOnSpace(MetricMeasureSpace.from_matrix(a.dist, [1, 1, 1, 2]), np.ones(4))
 
 
 def test_graph_shortest_path_against_floyd_warshall(rng):
