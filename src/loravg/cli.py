@@ -5,8 +5,10 @@ approx.  Structured output is JSON (CSV for probe tables, SVG for plots)
 and is deterministic: no timestamps inside artifacts, wall time on
 stderr only, seeds mandatory for anything randomized.
 
-Exit codes: 0 all contracts pass, 1 a contract failed (report still
-emitted), 2 usage or input error.
+Exit codes: 0 all contracts pass, or no contract was checked (the report
+then says "pass": null, as `witness` does in the bounded regime, where no
+witness pair exists), 1 a contract failed (report still emitted), 2 usage
+or input error.
 """
 
 import argparse
@@ -247,24 +249,27 @@ def _cmd_witness(args) -> int:
     sp = _space_from_args(args)
     spec = _norm_spec(args)
     rep = compactness.witness_sequence(sp, args.r, args.k, spec)
-    # The bounded regime has no witness pair, so there is nothing to fail.
+    # The bounded regime has no witness pair, so no inequality is checked.
     report = {
         "command": ["witness"],
         "inputs": _input_digests(args),
         "bounded_regime": rep.bounded_regime,
         "centers": rep.centers,
         "c_lower": rep.c_lower,
-        "pass": True,
+        "checked_pairs": 0,
+        "pass": None,
     }
     if not rep.bounded_regime:
+        m = len(rep.centers)
         report.update({
+            "checked_pairs": m * (m - 1) // 2,
             "min_pairwise": rep.min_pairwise,
             "distances": [[float(d) for d in row] for row in rep.distances],
             "witness_norms": rep.witness_norms,
             "pass": bool(averaging.holds(rep.c_lower, rep.min_pairwise)),
         })
     _emit_json(report, args.out)
-    return 0 if report["pass"] else 1
+    return 1 if report["pass"] is False else 0
 
 
 def _parse_family(raw: str) -> tuple[list[space_mod.MetricMeasureSpace], list[str]]:

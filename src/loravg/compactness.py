@@ -127,7 +127,8 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
         alpha = holder_constants(spec, mass).alpha
         bump = FunctionOnSpace.indicator(space, space.ball_mask(x, 2 * r))
         functions.append(bump * (alpha / mass))
-    images = [kernel.apply(f) for f in functions]
+    columns = kernel.matrix @ np.stack([f.values for f in functions], axis=1)
+    images = [FunctionOnSpace(space, column) for column in columns.T]
     m = len(images)
     distances = np.zeros((m, m))
     for i in range(m):

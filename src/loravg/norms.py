@@ -7,11 +7,15 @@ Two variants are computed for indices p, q:
 
 The plain diagonal p = q is the Lebesgue p-norm.  f* is a step function
 and f** a ratio of an affine function and t, so every integral reduces to
-power integrals computed in closed form; quadrature enters only for the
-double-star variant at non-integer q on pieces where f** is not a pure
-power.
+power integrals computed in closed form, except for the double-star
+variant at non-integer q on the pieces where f** = a/t + v with a, v > 0.
+Those pieces go to a composite 12-point Gauss-Legendre rule in u = log t
+with panels at most 1 wide: the integrand is analytic in the strip
+|Im u| < pi, so the rule converges geometrically and its error sits far
+below rounding.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,8 @@ DOUBLE_STAR = "double-star"
 
 # Exponents within this distance of -1 are integrated as logarithms.
 _LOG_EXPONENT_TOL = 1e-14
+
+_GAUSS_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,38 @@ def _double_star_piece_closed(a: float, v: float, t1: float, t2: float,
     return acc
 
 
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built on
+    first use so that processes which never need them do not pay for them."""
+    return np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+
+
+def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
+    """Integral of t^{q/p-1} ((a + v t)/t)^q over [t1, t2] for each piece
+    of the arrays, all with t1, a, v > 0.
+
+    With t = t1 e^s the integral is t1^{q/p} times that of
+    e^{s q/p} (a/t1 e^{-s} + v)^q over 0 <= s <= log(t2/t1); its only
+    singularities lie where a/t1 e^{-s} + v = 0, at Im s = pi.  The
+    s-range of each piece is cut into ceil(log(t2/t1)) equal panels.
+    Measuring s from t1 keeps the nodes of short pieces at full relative
+    precision.
+    """
+    nodes, weights = _gauss_legendre()
+    length = np.log1p((t2 - t1) / t1)
+    panels = np.ceil(length).astype(int)
+    piece = np.repeat(np.arange(t1.size), panels)
+    width = (length / panels)[piece]
+    first = np.repeat(np.cumsum(panels) - panels, panels)
+    s = (np.arange(piece.size) - first)[:, None] * width[:, None] \
+        + (width / 2.0)[:, None] * (nodes + 1.0)
+    e = q / p
+    values = np.exp(e * s) * ((a / t1)[piece, None] * np.exp(-s) + v[piece, None]) ** q
+    sums = np.bincount(piece, weights=(values @ weights) * width / 2.0, minlength=t1.size)
+    return t1 ** e * sums
+
+
 def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
     pieces = profile.pieces()
     if profile.total == 0.0:
@@ -158,6 +196,7 @@ def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
     if math.isinf(p):
         raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
     acc = 0.0
+    mixed = []
     integer_q = float(q).is_integer()
     for t1, t2, a, v in pieces:
         if not math.isfinite(t2):
@@ -169,11 +208,9 @@ def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
         elif integer_q:
             acc += _double_star_piece_closed(a, v, t1, t2, p, q)
         else:
-            from scipy.integrate import quad
-
-            val, _ = quad(lambda t: t ** (q / p - 1.0) * ((a + v * t) / t) ** q,
-                          t1, t2, epsabs=0.0, epsrel=1e-12, limit=200)
-            acc += val
+            mixed.append((t1, t2, a, v))
+    if mixed:
+        acc += float(np.sum(_double_star_pieces_gauss(*np.array(mixed).T, p, q)))
     return acc ** (1.0 / q)
 
 

@@ -20,6 +20,9 @@ from .errors import DomainError, MetricViolationError
 DEFAULT_MAX_ATOMS = 5000
 MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 
+# Entries per row block of ball_measures: about 8 MB of float64.
+_BLOCK_ENTRIES = 1 << 20
+
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
 # distances) can violate the exact inequality by a few ulps.
 _TRIANGLE_RTOL = 1e-12
@@ -123,8 +126,14 @@ class MetricMeasureSpace:
         return self.dist <= r
 
     def ball_measures(self, r: float) -> np.ndarray:
-        """mu(B(x, r)) for every atom x at once."""
-        return (self.ball_masks(r) * self.weights).sum(axis=1)
+        """mu(B(x, r)) for every atom x at once, summed a block of rows at a
+        time so that no n x n temporary is built."""
+        if r < 0:
+            raise DomainError("radius must be nonnegative")
+        step = max(1, _BLOCK_ENTRIES // self.natoms)
+        return np.concatenate([
+            ((self.dist[i:i + step] <= r) * self.weights).sum(axis=1)
+            for i in range(0, self.natoms, step)])
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:
@@ -139,20 +148,34 @@ class MetricMeasureSpace:
 
     @classmethod
     def from_cloud(cls, coords, metric: str = "euclidean", weights=None):
+        """Distances between the rows of coords under the euclidean, l1 or
+        linf metric.
+
+        The per-coordinate terms |x_k - y_k| (squared for euclidean) are
+        accumulated into one n x n buffer in coordinate order.  Since
+        y_k - x_k = -(x_k - y_k) exactly and x_k - x_k = 0, the result is
+        exactly symmetric with a zero diagonal.
+        """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.ndim != 2:
             raise DomainError("coords must be a 2-D array of points")
-        diff = coords[:, None, :] - coords[None, :, :]
-        if metric == "euclidean":
-            dist = np.sqrt((diff ** 2).sum(axis=2))
-        elif metric == "l1":
-            dist = np.abs(diff).sum(axis=2)
-        elif metric == "linf":
-            dist = np.abs(diff).max(axis=2)
-        else:
+        if metric not in ("euclidean", "l1", "linf"):
             raise DomainError(f"unknown metric {metric!r}")
-        dist = np.maximum(dist, dist.T)  # exact symmetry despite rounding
-        np.fill_diagonal(dist, 0.0)
+        if not np.all(np.isfinite(coords)):
+            raise DomainError("coords must be finite")
+        n, d = coords.shape
+        dist = np.zeros((n, n))
+        term = np.empty((n, n)) if d > 1 else None
+        magnitude = np.square if metric == "euclidean" else np.abs
+        combine = np.maximum if metric == "linf" else np.add
+        for k, col in enumerate(coords.T):
+            out = dist if k == 0 else term
+            np.subtract(col[:, None], col[None, :], out=out)
+            magnitude(out, out=out)
+            if k:
+                combine(dist, term, out=dist)
+        if metric == "euclidean":
+            np.sqrt(dist, out=dist)
         if weights is None:
             weights = np.ones(coords.shape[0])
         return cls(dist, np.asarray(weights, dtype=float), metric_by_construction=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +236,8 @@ def test_threshold_sweep_covers_breakpoints():
 
     tiny = FunctionOnSpace(sp, [5e-324, 1e-200, 0, 1, 2])  # 5e-324 / 2 underflows to 0
     assert threshold_sweep(tiny)[0] == 5e-324
-    with np.errstate(over="ignore"):  # the right side at t = 5e-324 is inf
+    with warnings.catch_warnings():  # the right side at t = 5e-324 is inf, silently
+        warnings.simplefilter("error", RuntimeWarning)
         assert verify_distribution_inequality(sp, tiny, 1.0, threshold_sweep(tiny)).passed
 
 

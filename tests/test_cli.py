@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loravg
 from loravg.cli import dispatch
 
 
@@ -32,6 +36,50 @@ def test_norm_subcommand(capsys, space_file, chi_file):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"value": 4.0, "normable": True}
+
+
+def test_double_star_norm_subcommand_two_atom_regression(capsys, tmp_path):
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1], [1, 0]],
+                                 "weights": [1e-4, 1e4]}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": [1, 0.001]}))
+    code, out = run(capsys, "norm", "--space", str(space), "--fn", str(fn),
+                    "--variant", "double-star", "--p", "3", "--q", "1.5")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(0.11614274905696818, rel=1e-13)
+
+
+_IMPORT_GUARD = """
+import json, sys
+from loravg.cli import main
+space, fn = sys.argv[1:3]
+common = ["--space", space, "--p", "3", "--q", "2"]
+for argv in (["norm", "--fn", fn, "--variant", "double-star", "--space", space,
+              "--p", "3", "--q", "1.5"],
+             ["avg", "--fn", fn, "--space", space, "--r", "1"],
+             ["verify", "--lemma", "operator-bound", "--fn", fn, "--r", "1"] + common,
+             ["witness", "--r", "0.5", "--k", "4"] + common):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+heavy = ("scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph")
+print(json.dumps(sorted(m for m in heavy if m in sys.modules)), file=sys.stderr)
+"""
+
+
+def test_cloud_commands_import_no_heavy_scipy_modules(tmp_path):
+    space = tmp_path / "cloud.json"
+    space.write_text(json.dumps({"kind": "cloud", "metric": "l1",
+                                 "coords": [[0.0], [0.7], [1.5], [3.1], [4.0], [6.2]],
+                                 "weights": [1.0, 0.5, 2.0, 1.0, 0.3, 1.2]}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": [1.0, -0.5, 0.25, 2.0, 0.0, -1.5]}))
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(space), str(fn)],
+                         capture_output=True, text=True, timeout=120,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stderr.strip().splitlines()[-1]) == []
 
 
 def test_build_space_round_trip(capsys, tmp_path, space_file):
@@ -148,15 +196,20 @@ def test_witness_subcommand(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
+    assert payload["checked_pairs"] == 10
     assert payload["centers"] == [0, 5, 10, 15, 20]
     assert payload["c_lower"] == pytest.approx(0.6)
 
+    # no witness pair exists, so nothing was checked and nothing passed
     small = tmp_path / "small.json"
     small.write_text(json.dumps({"kind": "lattice", "L": 3}))
     code, out = run(capsys, "witness", "--space", str(small), "--r", "1",
                     "--k", "5", "--p", "2", "--q", "2")
     assert code == 0
-    assert json.loads(out)["bounded_regime"] is True
+    payload = json.loads(out)
+    assert payload["bounded_regime"] is True
+    assert payload["pass"] is None
+    assert payload["checked_pairs"] == 0
 
 
 def test_probe_subcommand(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loravg import (
+    AveragingKernel,
     FunctionOnSpace,
     MetricMeasureSpace,
     NormSpec,
@@ -117,6 +118,21 @@ def test_witness_two_clusters():
     rep = witness_sequence(sp, 0.6, 2, NormSpec(3, 2))
     assert not rep.bounded_regime
     assert rep.min_pairwise >= rep.c_lower - 1e-12
+
+
+def test_witness_images_match_kernel_apply(rng):
+    # one matrix product for all images against a mat-vec per image
+    checked = 0
+    for _ in range(30):
+        sp = random_space(rng, max_atoms=60)
+        r = float(np.quantile(sp.dist[sp.dist > 0], 0.05))
+        rep = witness_sequence(sp, r, sp.natoms, SPEC)
+        kernel = AveragingKernel.build(sp, r)
+        for f, image in zip(rep.functions, rep.images):
+            np.testing.assert_allclose(image.values, kernel.apply(f).values,
+                                       rtol=1e-14, atol=0)
+            checked += 1
+    assert checked > 100
 
 
 def test_witness_support_disjointness():

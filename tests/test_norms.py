@@ -21,6 +21,7 @@ from loravg import (
     norm_equivalence_check,
     rearrangement,
 )
+from loravg.norms import _double_star_piece_closed, _double_star_pieces_gauss
 from conftest import random_function, random_space
 
 PS = [1.5, 2.0, 3.0, 10.0]
@@ -117,6 +118,86 @@ def test_lorentz_vs_quadrature_oracle(rng):
                 quad_plain_norm(f, p, q), rel=1e-10)
             assert lorentz_norm(f, NormSpec(p, q, DOUBLE_STAR)) == pytest.approx(
                 quad_double_star_norm(f, p, q), rel=1e-10)
+
+
+def badly_scaled_function(rng, max_atoms=12):
+    """Weights spanning 1e-7..1e7 and |values| spanning 1e-3..1e3."""
+    n = int(rng.integers(2, max_atoms))
+    space = MetricMeasureSpace.from_cloud(np.arange(n, dtype=float)[:, None],
+                                          weights=10.0 ** rng.uniform(-7, 7, n))
+    return FunctionOnSpace(space, 10.0 ** rng.uniform(-3, 3, n) * rng.choice([-1.0, 1.0], n))
+
+
+def mixed_pieces(f):
+    """(t1, t2, a, v) arrays of the pieces of F with a, v > 0 and t2 finite."""
+    pieces = [pc for pc in maximal_profile(f).pieces()
+              if pc[2] > 0 and pc[3] > 0 and math.isfinite(pc[1])]
+    return np.array(pieces).reshape(-1, 4).T
+
+
+def test_double_star_two_atom_regression():
+    # quad returned 0.09544 here, 17.8% low; the value is a 40-digit mpmath sum
+    sp = MetricMeasureSpace.from_matrix([[0, 1], [1, 0]], [1e-4, 1e4])
+    f = FunctionOnSpace(sp, [1.0, 0.001])
+    assert lorentz_norm(f, NormSpec(3, 1.5, DOUBLE_STAR)) == pytest.approx(
+        0.11614274905696818, rel=1e-13)
+
+
+def test_gauss_rule_matches_integer_closed_form(rng):
+    # The binomial closed form cancels on short pieces far from 0, so the
+    # two are compared on the whole norm, where such pieces weigh little.
+    checked = 0
+    for _ in range(600):
+        f = badly_scaled_function(rng)
+        p = [1.5, 2.0, 3.0, 7.0][int(rng.integers(4))]
+        q = [1.0, 2.0, 3.0][int(rng.integers(3))]
+        t1, t2, a, v = mixed_pieces(f)
+        if t1.size == 0:
+            continue
+        closed = lorentz_norm(f, NormSpec(p, q, DOUBLE_STAR))
+        gap = (np.sum(_double_star_pieces_gauss(t1, t2, a, v, p, q))
+               - sum(_double_star_piece_closed(*piece, p, q)
+                     for piece in zip(a, v, t1, t2)))
+        assert (closed ** q + gap) ** (1 / q) == pytest.approx(closed, rel=1e-14)
+        checked += 1
+    assert checked > 500
+
+
+def mpmath_double_star_norm(mpmath, f, p, q):
+    """The double-star norm summed piece by piece at 40 digits: end pieces
+    in closed form, mixed pieces by mpmath's tanh-sinh quadrature in
+    s = log(t/t1), split at unit steps."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        e = q / p
+        acc = mpmath.mpf(0)
+        for t1, t2, a, v in maximal_profile(f).pieces():
+            t1, a, v = mpmath.mpf(t1), mpmath.mpf(a), mpmath.mpf(v)
+            if not math.isfinite(t2):
+                acc += a ** q * t1 ** (e - q) / (q - e)
+            elif t1 == 0:
+                acc += v ** q * mpmath.mpf(t2) ** e / e
+            else:
+                length = mpmath.log(mpmath.mpf(t2) / t1)
+                acc += t1 ** e * mpmath.quad(
+                    lambda s: mpmath.exp(e * s) * (a / t1 * mpmath.exp(-s) + v) ** q,
+                    mpmath.linspace(0, length, int(mpmath.ceil(length)) + 1))
+        return float(acc ** (1 / q))
+
+
+def test_double_star_against_mpmath_on_badly_scaled_spaces(rng):
+    mpmath = pytest.importorskip("mpmath")
+    for _ in range(15):
+        f = badly_scaled_function(rng, max_atoms=8)
+        p = [1.5, 3.0, 7.0][int(rng.integers(3))]
+        q = [1.1, 1.5, 2.5, 3.7][int(rng.integers(4))]
+        assert lorentz_norm(f, NormSpec(p, q, DOUBLE_STAR)) == pytest.approx(
+            mpmath_double_star_norm(mpmath, f, p, q), rel=1e-13)
+    # 12% off under quad, with no warning
+    sp = MetricMeasureSpace.from_matrix([[0, 1], [1, 0]], [1e-7, 1e7])
+    f = FunctionOnSpace(sp, [1.0, 0.001])
+    assert lorentz_norm(f, NormSpec(7, 1.1, DOUBLE_STAR)) == pytest.approx(
+        mpmath_double_star_norm(mpmath, f, 7, 1.1), rel=1e-13)
 
 
 def test_logarithmic_exponent_case(rng):

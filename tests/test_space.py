@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loravg import (
+    AveragingKernel,
     DomainError,
     FunctionOnSpace,
     MetricMeasureSpace,
@@ -17,6 +20,7 @@ from loravg import (
     symm_diff_measure,
     vitali_subfamily,
 )
+from loravg import space as space_mod
 from loravg.compactness import _separated_count
 from conftest import matrix_cases, random_space
 
@@ -311,3 +315,64 @@ def test_json_round_trip(rng):
     rebuilt = build_space(sp.to_json())
     assert np.array_equal(rebuilt.dist, sp.dist)
     assert np.array_equal(rebuilt.weights, sp.weights)
+
+
+def _reference_cloud_distances(coords, metric):
+    """The n x n x d broadcast that from_cloud used before it accumulated
+    coordinate by coordinate."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    if metric == "euclidean":
+        dist = np.sqrt((diff ** 2).sum(axis=2))
+    elif metric == "l1":
+        dist = np.abs(diff).sum(axis=2)
+    else:
+        dist = np.abs(diff).max(axis=2)
+    dist = np.maximum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@st.composite
+def cloud_cases(draw):
+    """Clouds of dimension 1-7 at coordinate scales 1e-20..1e20, with
+    repeated points and exactly tied coordinates."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 7))
+    scale = 10.0 ** draw(st.sampled_from([-20, -7, 0, 7, 20]))
+    entries = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=n, max_size=n))
+    coords = np.array(rows, dtype=float) * scale
+    coords[draw(st.integers(0, n - 1))] = coords[0]
+    metric = draw(st.sampled_from(["euclidean", "l1", "linf"]))
+    weights = draw(st.lists(st.sampled_from([0.1, 0.3, 1.0, 2.7]), min_size=n, max_size=n))
+    return coords, metric, np.array(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud_cases(), st.floats(0, 1), st.integers(1, 40))
+def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, block):
+    coords, metric, weights = case
+    sp = MetricMeasureSpace.from_cloud(coords, metric=metric, weights=weights)
+    dist = sp.dist
+    assert dist.tobytes() == _reference_cloud_distances(coords, metric).tobytes()
+    assert np.array_equal(dist, dist.T)
+    assert np.all(np.diagonal(dist) == 0.0)
+    r = float(np.quantile(dist, quantile))
+    masks = dist <= r
+    measures = (masks * weights).sum(axis=1)
+    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block):  # several row blocks
+        assert sp.ball_measures(r).tobytes() == measures.tobytes()
+    assert sp.ball_measures(r).tobytes() == measures.tobytes()
+    if r > 0:
+        kernel = AveragingKernel.build(sp, r)
+        assert kernel.ball_measures.tobytes() == measures.tobytes()
+        weighted = masks * weights
+        matrix = weighted / weighted.sum(axis=1)[:, None]
+        assert kernel.matrix.tobytes() == matrix.tobytes()
+
+
+def test_from_cloud_rejects_nonfinite_coords():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError):
+            MetricMeasureSpace.from_cloud([[0.0], [bad]])
