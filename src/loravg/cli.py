@@ -8,7 +8,7 @@ stderr only, seeds mandatory for anything randomized.
 Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
 witness pair exists), 1 a contract failed (report still emitted), 2 usage
-or input error.
+or input error, including an input too large for the memory at hand.
 """
 
 import argparse
@@ -148,7 +148,14 @@ def _cmd_avg(args) -> int:
 
 def _trial_functions(args, sp, spec) -> list[rearrange.FunctionOnSpace]:
     if args.fn:
-        return [_function_from_args(args, sp)]
+        f = _function_from_args(args, sp)
+        if args.lemma != "equicontinuity":
+            return [f]
+        # The modulus bounds A_r f over the unit ball, so f is scaled to unit norm.
+        norm = norms.lorentz_norm(f, spec)
+        if norm == 0.0:
+            raise CLIError("the equicontinuity modulus needs a nonzero --fn")
+        return [f * (1.0 / norm)]
     if args.seed is None:
         raise CLIError("randomized run: --seed is mandatory when --fn is omitted")
     if args.lemma == "equicontinuity":
@@ -314,7 +321,7 @@ def _cmd_approx(args) -> int:
     sp = _space_from_args(args)
     f = _function_from_args(args, sp)
     spec = _norm_spec(args)
-    rep = compactness.simple_approximation(sp, f, args.r, args.epsilon, spec)
+    rep = compactness.simple_approximation(sp, f, args.epsilon, spec)
     _emit_json({
         "command": ["approx"],
         "inputs": _input_digests(args),
@@ -404,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="simple-function approximation by disjoint balls")
     p.add_argument("--space", required=True)
     p.add_argument("--fn", required=True)
-    p.add_argument("--r", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     _add_norm_flags(p)
     p.add_argument("--out")
@@ -424,6 +430,9 @@ def dispatch(argv: list[str]) -> int:
         code = args.handler(args)
     except (CLIError, DomainError, MetricViolationError, NotInSpaceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
     finally:
         print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)

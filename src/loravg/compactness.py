@@ -152,8 +152,8 @@ class SimpleApproximation:
     remainder_norm: float      # spec-norm of g outside the kept balls
 
 
-def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, r: float,
-                         epsilon: float, spec: NormSpec) -> SimpleApproximation:
+def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon: float,
+                         spec: NormSpec) -> SimpleApproximation:
     """Approximate g by a combination of indicator functions of disjoint
     balls, aiming at spec-norm error epsilon.
 

@@ -5,14 +5,18 @@ Two variants are computed for indices p, q:
 * plain:       ( integral t^{q/p-1} f*(t)^q dt )^{1/q},   sup t^{1/p} f*(t)  at q = inf
 * double-star: same formulas with f** in place of f*
 
-The plain diagonal p = q is the Lebesgue p-norm.  f* is a step function
-and f** a ratio of an affine function and t, so every integral reduces to
-power integrals computed in closed form, except for the double-star
-variant at non-integer q on the pieces where f** = a/t + v with a, v > 0.
-Those pieces go to a composite 12-point Gauss-Legendre rule in u = log t
-with panels at most 1 wide: the integrand is analytic in the strip
-|Im u| < pi, so the rule converges geometrically and its error sits far
-below rounding.
+The plain diagonal p = q is the Lebesgue p-norm.  Each variant is a few
+array expressions over the pieces of a profile.  f* is a step function,
+so the plain norm sums one array power integral, taken in an expm1 form
+that keeps short pieces far from 0 at full relative precision.  f** is
+F/t with F piecewise affine: on the first piece f** is constant and
+beyond the last breakpoint it is total/t, both power integrals in closed
+form; on every other piece f** = a/t + v with a, v > 0, and all of those
+go to a composite 12-point Gauss-Legendre rule in u = log t with panels
+at most 1 wide: the integrand is analytic in the strip |Im u| < pi, so
+the rule converges geometrically and its error sits far below rounding.
+At q = inf the supremum of t^{1/p} f*(t) or t^{1/p} f**(t) is taken at
+the breakpoints.
 """
 
 import functools
@@ -22,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotInSpaceError
-from .rearrange import FunctionOnSpace, MaximalProfile, maximal_profile, rearrangement
+from .rearrange import (FunctionOnSpace, MaximalProfile, StepFunction, maximal_profile,
+                        rearrangement)
 
 PLAIN = "plain"
 DOUBLE_STAR = "double-star"
-
-# Exponents within this distance of -1 are integrated as logarithms.
-_LOG_EXPONENT_TOL = 1e-14
 
 _GAUSS_POINTS = 12
 
@@ -70,31 +72,17 @@ class NormSpec:
         return math.isinf(self.p) and not math.isinf(self.q)
 
 
-def _power_integral(e: float, t1: float, t2: float) -> float:
-    """Integral of t^e over [t1, t2], 0 <= t1 < t2 < inf.
+def _power_integral(d: float, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Integral of t^{d-1} over [t1, t2] for each pair of the arrays,
+    0 <= t1 < t2 < inf and d > 0.
 
-    Needs e > -1 when t1 == 0.  Near e = -1 the antiderivative
-    (t^{e+1}-1)/(e+1) is evaluated with expm1 to avoid cancellation, and
-    at e = -1 (within tolerance) it degenerates to log(t2/t1).
+    Written as t2^d (1 - (t1/t2)^d) / d with the bracket from expm1 and
+    log1p, so that short pieces far from 0 keep full relative precision
+    instead of cancelling in t2^d - t1^d.  At t1 = 0 the ratio
+    (t2 - t1)/t1 is inf and the form reduces to t2^d / d.
     """
-    d = e + 1.0
-    if t1 == 0.0:
-        if d <= 0:
-            raise DomainError("integral diverges at 0")
-        return t2 ** d / d
-    if abs(d) <= _LOG_EXPONENT_TOL:
-        return math.log(t2 / t1)
-    if abs(d) < 0.1:
-        return (math.expm1(d * math.log(t2)) - math.expm1(d * math.log(t1))) / d
-    return (t2 ** d - t1 ** d) / d
-
-
-def _power_tail(e: float, t1: float) -> float:
-    """Integral of t^e over [t1, inf); needs e < -1 and t1 > 0."""
-    d = e + 1.0
-    if d >= 0 or t1 <= 0:
-        raise DomainError("tail integral diverges")
-    return -(t1 ** d) / d
+    with np.errstate(divide="ignore"):
+        return t2 ** d * -np.expm1(-d * np.log1p((t2 - t1) / t1)) / d
 
 
 def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
@@ -107,33 +95,13 @@ def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
     return float(np.sum(f.space.weights * av ** p) ** (1.0 / p))
 
 
-def _plain_norm(star, p: float, q: float) -> float:
-    if star.levels.size == 0:
-        return 0.0
-    t_right = star.breakpoints[1:]
+def _plain_norm(star: StepFunction, p: float, q: float) -> float:
+    t = star.breakpoints
     if math.isinf(q):
-        if math.isinf(p):
-            return float(star.levels[0])
-        return float(np.max(star.levels * t_right ** (1.0 / p)))
-    if math.isinf(p):
-        raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
-    e = q / p - 1.0
-    acc = sum(v ** q * _power_integral(e, t1, t2)
-              for v, t1, t2 in zip(star.levels, star.breakpoints[:-1], t_right))
-    return acc ** (1.0 / q)
-
-
-def _double_star_piece_closed(a: float, v: float, t1: float, t2: float,
-                              p: float, q: float) -> float:
-    """Integral of t^{q/p-1} ((a + v t)/t)^q over [t1, t2] for integer q."""
-    base = q / p - 1.0 - q
-    qi = int(q)
-    acc = 0.0
-    for k in range(qi + 1):
-        coeff = math.comb(qi, k) * a ** (qi - k) * v ** k
-        if coeff != 0.0:
-            acc += coeff * _power_integral(base + k, t1, t2)
-    return acc
+        inv_p = 0.0 if math.isinf(p) else 1.0 / p
+        return float(np.max(star.levels * t[1:] ** inv_p, initial=0.0))
+    acc = np.sum(star.levels ** q * _power_integral(q / p, t[:-1], t[1:]))
+    return float(acc) ** (1.0 / q)
 
 
 @functools.cache
@@ -169,49 +137,22 @@ def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
 
 
 def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
-    pieces = profile.pieces()
     if profile.total == 0.0:
         return 0.0
+    t1, t2, a, v = profile.pieces()
     if math.isinf(q):
-        # sup of g(t) = t^{1/p-1} (a + v t); candidates are the piece
-        # endpoints and the interior critical point t* = a (p-1) / v.
+        # On a piece with a, v > 0, g(t) = t^{1/p-1} (a + v t) has
+        # g'(t) = t^{1/p-2} ((1/p - 1) a + v t / p), negative and then
+        # positive, so its critical point t* = a (p-1) / v is a minimum.
+        # g rises on the first piece (a = 0) and falls beyond the last
+        # breakpoint, so the supremum sits at a breakpoint.
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        best = 0.0
-        for t1, t2, a, v in pieces:
-            cands = []
-            if t1 > 0:
-                cands.append(t1)
-            if math.isfinite(t2):
-                cands.append(t2)
-            if a > 0 and v > 0 and math.isfinite(p):
-                tstar = a * (p - 1.0) / v
-                if t1 < tstar < t2:
-                    cands.append(tstar)
-            if t1 == 0.0 and a == 0.0:
-                # g = v t^{1/p}, increasing; sup on (0, t2] is at t2.
-                cands.append(t2)
-            for t in cands:
-                best = max(best, t ** (inv_p - 1.0) * (a + v * t))
-        return best
-    if math.isinf(p):
-        raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
-    acc = 0.0
-    mixed = []
-    integer_q = float(q).is_integer()
-    for t1, t2, a, v in pieces:
-        if not math.isfinite(t2):
-            acc += profile.total ** q * _power_tail(q / p - 1.0 - q, t1)
-        elif a == 0.0:
-            acc += v ** q * _power_integral(q / p - 1.0, t1, t2)
-        elif v == 0.0:
-            acc += a ** q * _power_integral(q / p - 1.0 - q, t1, t2)
-        elif integer_q:
-            acc += _double_star_piece_closed(a, v, t1, t2, p, q)
-        else:
-            mixed.append((t1, t2, a, v))
-    if mixed:
-        acc += float(np.sum(_double_star_pieces_gauss(*np.array(mixed).T, p, q)))
-    return acc ** (1.0 / q)
+        return float(np.max(t2 ** (inv_p - 1.0) * profile.node_values[1:]))
+    e = q / p
+    head = v[0] ** q * t2[0] ** e / e
+    tail = profile.total ** q * t2[-1] ** (e - q) / (q - e)
+    middle = np.sum(_double_star_pieces_gauss(t1[1:], t2[1:], a[1:], v[1:], p, q))
+    return float(head + middle + tail) ** (1.0 / q)
 
 
 def lorentz_norm(f: FunctionOnSpace, spec: NormSpec) -> float:

@@ -197,19 +197,14 @@ class MaximalProfile:
         return float(out) if np.ndim(out) == 0 else out
 
     def pieces(self):
-        """Affine pieces of F as (t1, t2, intercept, slope), tail included.
+        """Affine pieces of F on [t_i, t_{i+1}] as arrays (t1, t2, a, v).
 
-        On each piece F(t) = intercept + slope * t, so f** = intercept/t
-        + slope there.  The tail piece is (t_last, inf, total, 0).
+        On each piece F(t) = a + v t, so f** = a/t + v there; the first
+        piece has a = 0, and beyond the last breakpoint F stays at
+        `total`.
         """
-        out = []
-        for i in range(self.slopes.size):
-            t1, t2 = self.breakpoints[i], self.breakpoints[i + 1]
-            slope = self.slopes[i]
-            out.append((float(t1), float(t2), float(self.node_values[i] - slope * t1),
-                        float(slope)))
-        out.append((float(self.breakpoints[-1]), np.inf, self.total, 0.0))
-        return out
+        t1 = self.breakpoints[:-1]
+        return t1, self.breakpoints[1:], self.node_values[:-1] - self.slopes * t1, self.slopes
 
 
 def maximal_profile(f: FunctionOnSpace) -> MaximalProfile:

@@ -234,7 +234,7 @@ def test_approx_subcommand(capsys, tmp_path):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"values": list(np.linspace(0, 1, 21))}))
     code, out = run(capsys, "approx", "--space", str(space), "--fn", str(fn),
-                    "--r", "1", "--epsilon", "0.6", "--p", "2", "--q", "2")
+                    "--epsilon", "0.6", "--p", "2", "--q", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["error"] <= 0.6
@@ -301,6 +301,39 @@ def test_verify_equicontinuity_skips_equal_balls(capsys, tmp_path):
     for check in trial_checks:
         x, y = map(int, check["name"].split("-")[3:])
         assert bound[x, y] > 0 and check["rhs"] == bound[x, y]
+
+
+def test_verify_equicontinuity_scales_explicit_function(capsys, tmp_path, space_file):
+    """The modulus is a bound over the unit ball, so an explicit --fn is
+    scaled to unit norm: every multiple of a function gets one verdict."""
+    reports = []
+    for scale in (100.0, 0.01, 0.0):
+        fn = tmp_path / f"f{scale}.json"
+        fn.write_text(json.dumps({"values": [scale] + [0.0] * 9}))
+        code, out = run(capsys, "verify", "--lemma", "equicontinuity", "--space", space_file,
+                        "--fn", str(fn), "--r", "1", "--p", "2", "--q", "2")
+        reports.append((code, json.loads(out)["worst_ratio"] if out else None))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert reports[2] == (2, None)
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    """A failed allocation is an input too large for the machine, not a
+    failed contract.  The 20001 x 20001 distance matrix needs 3 GB; the
+    address space is capped at 2 GiB."""
+    resource = pytest.importorskip("resource")
+    space = tmp_path / "big.json"
+    space.write_text(json.dumps({"kind": "lattice", "L": 20000}))
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    res = subprocess.run([sys.executable, "-m", "loravg.cli", "build-space", "--space",
+                          str(space)], capture_output=True, text=True, timeout=120,
+                         env={"PYTHONPATH": src, "PATH": ""}, preexec_fn=cap_memory)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
 def test_probe_zero_step_exits_two(capsys):

@@ -163,7 +163,7 @@ def test_witness_norm_cap(rng):
 def test_simple_approximation_constant():
     sp = MetricMeasureSpace.lattice(30)
     g = FunctionOnSpace(sp, np.full(31, 1.25))
-    rep = simple_approximation(sp, g, 1.0, 0.5, SPEC)
+    rep = simple_approximation(sp, g, 0.5, SPEC)
     assert rep.centers == [0]
     assert rep.radii == [30.0]
     assert rep.error == 0.0
@@ -174,7 +174,7 @@ def test_simple_approximation_of_average(rng):
     f = random_function(rng, sp)
     g = average(sp, f, 1.0)
     eps = 0.5
-    rep = simple_approximation(sp, g, 1.0, eps, SPEC)
+    rep = simple_approximation(sp, g, eps, SPEC)
     assert rep.error <= eps * (1 + 1e-9)
     assert rep.remainder_norm <= eps / 2 * (1 + 1e-9)
     # kept balls disjoint, coefficients are g at the centers
@@ -189,7 +189,7 @@ def test_simple_approximation_of_average(rng):
 def test_simple_approximation_honest_on_rough_input():
     sp = MetricMeasureSpace.lattice(20)
     alternating = FunctionOnSpace(sp, np.where(np.arange(21) % 2 == 0, 1.0, -1.0))
-    rep = simple_approximation(sp, alternating, 1.0, 0.5, SPEC)
+    rep = simple_approximation(sp, alternating, 0.5, SPEC)
     assert rep.error >= 0.0  # reported as achieved, no epsilon guarantee
 
 

@@ -21,7 +21,7 @@ from loravg import (
     norm_equivalence_check,
     rearrangement,
 )
-from loravg.norms import _double_star_piece_closed, _double_star_pieces_gauss
+from loravg.norms import _double_star_pieces_gauss, _power_integral
 from conftest import random_function, random_space
 
 PS = [1.5, 2.0, 3.0, 10.0]
@@ -129,10 +129,24 @@ def badly_scaled_function(rng, max_atoms=12):
 
 
 def mixed_pieces(f):
-    """(t1, t2, a, v) arrays of the pieces of F with a, v > 0 and t2 finite."""
-    pieces = [pc for pc in maximal_profile(f).pieces()
-              if pc[2] > 0 and pc[3] > 0 and math.isfinite(pc[1])]
-    return np.array(pieces).reshape(-1, 4).T
+    """(t1, t2, a, v) arrays of the pieces of F with a > 0: all but the first."""
+    t1, t2, a, v = maximal_profile(f).pieces()
+    keep = a > 0
+    return t1[keep], t2[keep], a[keep], v[keep]
+
+
+def binomial_piece(a, v, t1, t2, p, q):
+    """Integral of t^{q/p-1} ((a + v t)/t)^q over [t1, t2], 0 < t1 < t2, at
+    integer q: the binomial expansion turns it into power integrals, with
+    a logarithm where the exponent is -1.  t2^d - t1^d cancels on short
+    pieces far from 0."""
+    qi = int(q)
+    acc = 0.0
+    for k in range(qi + 1):
+        d = q / p - q + k
+        power = math.log(t2 / t1) if abs(d) <= 1e-14 else (t2 ** d - t1 ** d) / d
+        acc += math.comb(qi, k) * a ** (qi - k) * v ** k * power
+    return acc
 
 
 def test_double_star_two_atom_regression():
@@ -156,32 +170,34 @@ def test_gauss_rule_matches_integer_closed_form(rng):
             continue
         closed = lorentz_norm(f, NormSpec(p, q, DOUBLE_STAR))
         gap = (np.sum(_double_star_pieces_gauss(t1, t2, a, v, p, q))
-               - sum(_double_star_piece_closed(*piece, p, q)
-                     for piece in zip(a, v, t1, t2)))
+               - sum(binomial_piece(*piece, p, q) for piece in zip(a, v, t1, t2)))
         assert (closed ** q + gap) ** (1 / q) == pytest.approx(closed, rel=1e-14)
         checked += 1
     assert checked > 500
 
 
-def mpmath_double_star_norm(mpmath, f, p, q):
-    """The double-star norm summed piece by piece at 40 digits: end pieces
-    in closed form, mixed pieces by mpmath's tanh-sinh quadrature in
+def mpmath_norm(mpmath, f, spec):
+    """The norm at q < inf summed piece by piece at 40 digits.  Plain
+    pieces and the end pieces of the double-star norm are in closed form;
+    its other pieces go to mpmath's tanh-sinh quadrature in
     s = log(t/t1), split at unit steps."""
     with mpmath.workdps(40):
-        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        p, q = mpmath.mpf(spec.p), mpmath.mpf(spec.q)
         e = q / p
+        profile = maximal_profile(f)
         acc = mpmath.mpf(0)
-        for t1, t2, a, v in maximal_profile(f).pieces():
-            t1, a, v = mpmath.mpf(t1), mpmath.mpf(a), mpmath.mpf(v)
-            if not math.isfinite(t2):
-                acc += a ** q * t1 ** (e - q) / (q - e)
-            elif t1 == 0:
-                acc += v ** q * mpmath.mpf(t2) ** e / e
+        for t1, t2, a, v in zip(*profile.pieces()):
+            t1, t2, a, v = map(mpmath.mpf, (t1, t2, a, v))
+            if spec.variant == PLAIN or t1 == 0:
+                acc += v ** q * (t2 ** e - t1 ** e) / e
             else:
-                length = mpmath.log(mpmath.mpf(t2) / t1)
+                length = mpmath.log(t2 / t1)
                 acc += t1 ** e * mpmath.quad(
                     lambda s: mpmath.exp(e * s) * (a / t1 * mpmath.exp(-s) + v) ** q,
                     mpmath.linspace(0, length, int(mpmath.ceil(length)) + 1))
+        if spec.variant == DOUBLE_STAR:
+            tk = mpmath.mpf(profile.breakpoints[-1])
+            acc += mpmath.mpf(profile.total) ** q * tk ** (e - q) / (q - e)
         return float(acc ** (1 / q))
 
 
@@ -189,20 +205,48 @@ def test_double_star_against_mpmath_on_badly_scaled_spaces(rng):
     mpmath = pytest.importorskip("mpmath")
     for _ in range(15):
         f = badly_scaled_function(rng, max_atoms=8)
-        p = [1.5, 3.0, 7.0][int(rng.integers(3))]
-        q = [1.1, 1.5, 2.5, 3.7][int(rng.integers(4))]
-        assert lorentz_norm(f, NormSpec(p, q, DOUBLE_STAR)) == pytest.approx(
-            mpmath_double_star_norm(mpmath, f, p, q), rel=1e-13)
+        spec = NormSpec([1.5, 3.0, 7.0][int(rng.integers(3))],
+                        [1.1, 1.5, 2.5, 3.7][int(rng.integers(4))], DOUBLE_STAR)
+        assert lorentz_norm(f, spec) == pytest.approx(mpmath_norm(mpmath, f, spec), rel=1e-13)
     # 12% off under quad, with no warning
     sp = MetricMeasureSpace.from_matrix([[0, 1], [1, 0]], [1e-7, 1e7])
     f = FunctionOnSpace(sp, [1.0, 0.001])
-    assert lorentz_norm(f, NormSpec(7, 1.1, DOUBLE_STAR)) == pytest.approx(
-        mpmath_double_star_norm(mpmath, f, 7, 1.1), rel=1e-13)
+    spec = NormSpec(7, 1.1, DOUBLE_STAR)
+    assert lorentz_norm(f, spec) == pytest.approx(mpmath_norm(mpmath, f, spec), rel=1e-13)
+
+
+@pytest.mark.parametrize("variant, qs", [(PLAIN, [1.0, 1.1, 2.0, 2.5, 3.7]),
+                                         (DOUBLE_STAR, [1.0, 2.0, 3.0])])
+def test_norm_against_mpmath_on_badly_scaled_spaces(rng, variant, qs):
+    mpmath = pytest.importorskip("mpmath")
+    for _ in range(15):
+        f = badly_scaled_function(rng, max_atoms=8)
+        spec = NormSpec([1.5, 2.0, 3.0, 7.0][int(rng.integers(4))],
+                        qs[int(rng.integers(len(qs)))], variant)
+        assert lorentz_norm(f, spec) == pytest.approx(mpmath_norm(mpmath, f, spec), rel=1e-13)
+
+
+def test_power_integral_against_mpmath(rng):
+    """Short pieces far from 0, where t2^d - t1^d cancels, and t1 = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 2000
+    t1 = 10.0 ** rng.uniform(-12, 12, n)
+    t1[::10] = 0.0
+    t2 = t1 * (1.0 + 10.0 ** rng.uniform(-15, 1, n))
+    t2[t1 == 0] = 10.0 ** rng.uniform(-12, 12, np.count_nonzero(t1 == 0))
+    assert np.all(t2 > t1)
+    for d in [1 / 7, 0.5, 2 / 3, 1.0, 2.0, 3.7 / 1.5, 10.0]:
+        got = _power_integral(d, t1, t2)
+        with mpmath.workdps(40):
+            dm = mpmath.mpf(d)
+            want = [float((mpmath.mpf(b) ** dm - mpmath.mpf(a) ** dm) / dm)
+                    for a, b in zip(t1, t2)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_logarithmic_exponent_case(rng):
-    # p = q = 2 puts one binomial term of the double-star closed form at
-    # exponent exactly -1.
+    # p = q = 2 puts one binomial term of the integer-q closed form at
+    # exponent exactly -1, where it is a logarithm.
     f = random_function(rng, MetricMeasureSpace.lattice(9))
     assert lorentz_norm(f, NormSpec(2, 2, DOUBLE_STAR)) == pytest.approx(
         quad_double_star_norm(f, 2.0, 2.0), rel=1e-10)
