@@ -14,7 +14,7 @@ tight constants entering the paper-style bounds:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,32 +30,75 @@ def holds(lhs, rhs):
     return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
+def _stochastic_matrix(space: MetricMeasureSpace, r: float):
+    """(matrix, ball measures): row x of matrix holds w_y / mu(B(x, r)) on
+    B(x, r) and 0 elsewhere."""
+    matrix = (space.dist <= r) * space.weights
+    measures = matrix.sum(axis=1)
+    matrix /= measures[:, None]
+    if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12):
+        raise RuntimeError("averaging kernel rows must sum to 1")
+    return matrix, measures
+
+
 @dataclass(frozen=True)
 class AveragingKernel:
-    """Row-stochastic matrix of the averaging operator at radius r.
+    """The averaging operator at radius r.
 
-    Row x holds w_y / mu(B(x, r)) on B(x, r) and 0 elsewhere, so applying
-    the kernel to a value vector is exactly the ball averaging.
+    Its row-stochastic `matrix` holds w_y / mu(B(x, r)) in row x on
+    B(x, r) and 0 elsewhere, so applying it to a value vector is exactly
+    the ball averaging.  A matrix space builds that matrix at once.  A
+    line space holds its ball runs (`runs`, see `ball_runs`) instead,
+    applies the same coefficients run by run, and forms `matrix` only when
+    it is read.
     """
 
     space: MetricMeasureSpace
     r: float
-    matrix: np.ndarray
     ball_measures: np.ndarray
+    runs: tuple[np.ndarray, np.ndarray] | None = None
+    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, space: MetricMeasureSpace, r: float) -> "AveragingKernel":
         if r <= 0:
             raise DomainError("averaging radius must be positive")
-        matrix = (space.dist <= r) * space.weights
-        measures = matrix.sum(axis=1)
-        matrix /= measures[:, None]
-        if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12):
-            raise RuntimeError("averaging kernel rows must sum to 1")
-        return cls(space=space, r=float(r), matrix=matrix, ball_measures=measures)
+        if space.coords is None:
+            matrix, measures = _stochastic_matrix(space, r)
+            return cls(space=space, r=float(r), ball_measures=measures, _matrix=matrix)
+        return cls(space=space, r=float(r), ball_measures=space.ball_measures(r),
+                   runs=space.ball_runs(r))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _stochastic_matrix(self.space, self.r)[0])
+        return self._matrix
+
+    def means(self, values) -> np.ndarray:
+        """A_r of an (n,) value array, or of each column of an (n, m) one.
+
+        On a line space the kernel row of x is applied run by run: offset
+        t of every ball adds (w_y / mu(B(x, r))) * values[y] at once, for
+        the atom y at sorted position lo + t.  The coefficients are the
+        matrix entries, rounded as there.
+        """
+        values = np.asarray(values, dtype=float)
+        if self.runs is None:
+            return self.matrix @ values
+        order, (lo, hi) = self.space.order, self.runs
+        weights, measures = self.space.weights[order], self.ball_measures[order]
+        ordered = values[order].reshape(order.size, -1)
+        total = np.zeros_like(ordered)
+        for t in range(int((hi - lo).max())):
+            y = np.minimum(lo + t, hi - 1)
+            total += np.where(lo + t < hi, weights[y] / measures, 0.0)[:, None] * ordered[y]
+        out = np.empty_like(total)
+        out[order] = total
+        return out.reshape(values.shape)
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:
-        return FunctionOnSpace(self.space, self.matrix @ f.values)
+        return FunctionOnSpace(self.space, self.means(f.values))
 
 
 def average(space: MetricMeasureSpace, f: FunctionOnSpace, r: float) -> FunctionOnSpace:

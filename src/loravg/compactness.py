@@ -52,7 +52,7 @@ def sample_unit_sphere(space: MetricMeasureSpace, spec: NormSpec, n: int,
     while len(out) < n:
         center = int(rng.integers(space.natoms))
         quantile = rng.uniform(0.45, 0.55)
-        radius = np.sort(space.dist[center])[int(quantile * (space.natoms - 1))]
+        radius = np.sort(space.distance_row(center))[int(quantile * (space.natoms - 1))]
         level = rng.standard_normal()
         f = FunctionOnSpace(space, np.where(space.ball_mask(center, radius),
                                             level, 0.0))
@@ -127,7 +127,7 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
         alpha = holder_constants(spec, mass).alpha
         bump = FunctionOnSpace.indicator(space, space.ball_mask(x, 2 * r))
         functions.append(bump * (alpha / mass))
-    columns = kernel.matrix @ np.stack([f.values for f in functions], axis=1)
+    columns = kernel.means(np.stack([f.values for f in functions], axis=1))
     images = [FunctionOnSpace(space, column) for column in columns.T]
     m = len(images)
     distances = np.zeros((m, m))
@@ -171,7 +171,7 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
 
     def oscillation_radius(x: int) -> float:
         """Largest radius whose closed ball keeps |g - g(x)| <= osc_cap."""
-        row = space.dist[x]
+        row = space.distance_row(x)
         bad = np.abs(g.values - g.values[x]) > osc_cap
         if not bad.any():
             return float(row.max())
@@ -203,10 +203,11 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
             continue
         if covered.any():
             # shrink below the nearest covered atom to stay disjoint
-            nearest = float(space.dist[x][covered].min())
+            row = space.distance_row(x)
+            nearest = float(row[covered].min())
             if nearest == 0.0:
                 continue
-            below = space.dist[x][space.dist[x] < nearest]
+            below = row[row < nearest]
             radius = min(radius, float(below.max()))
         mask = space.ball_mask(x, radius)
         centers.append(x)

@@ -1,17 +1,25 @@
 """Finite atomic metric measure spaces.
 
-A space is a finite set of atoms 0..n-1 with a metric given by a full
-distance matrix and a strictly positive weight per atom.  Every closed
-ball B(x, r) = {y : d(x, y) <= r} then has measure in (0, mu(X)], and all
-set operations are finite enumerations, so the quantities studied here
-(doubling constants, Vitali subfamilies, symmetric differences) are exact
-up to floating-point rounding.
+A space is a finite set of atoms 0..n-1 with a metric and a strictly
+positive weight per atom.  Every closed ball B(x, r) = {y : d(x, y) <= r}
+then has measure in (0, mu(X)], and all set operations are finite
+enumerations, so the quantities studied here (doubling constants, Vitali
+subfamilies, symmetric differences) are exact up to floating-point
+rounding.
+
+A matrix space holds its full distance matrix.  A line space (a cloud of
+dimension 1, or a lattice) keeps its coordinates and their sort order
+instead, and forms the matrix only when `dist` is first read.  There a
+ball is a run of consecutive atoms in coordinate order, so the ball layer
+(`distance_row`, `ball_mask`, `ball_runs`, `ball_measures`) needs O(n) memory
+and no n x n array.
 """
 
+import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +28,53 @@ from .errors import DomainError, MetricViolationError
 DEFAULT_MAX_ATOMS = 5000
 MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 
-# Entries per row block of ball_measures: about 8 MB of float64.
+# Entries per row block of the matrix-space ball sums: about 8 MB of float64.
 _BLOCK_ENTRIES = 1 << 20
+
+# Entries per row block of the triangle check: two float64 buffers that
+# stay in cache while every pivot passes over them.
+_TRIANGLE_BLOCK_ENTRIES = 1 << 16
 
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
 # distances) can violate the exact inequality by a few ulps.
 _TRIANGLE_RTOL = 1e-12
-
 
 def _max_atoms() -> int:
     raw = os.environ.get(MAX_ATOMS_ENV)
     return int(raw) if raw else DEFAULT_MAX_ATOMS
 
 
+def _violates_a_triangle(dist: np.ndarray, tol: float) -> bool:
+    """Whether d(i, j) > (d(i, k) + d(k, j)) + tol for some i < j and k.
+
+    Row block [a, b) x [a, n) at a time, each block keeps the least
+    d(i, k) + d(k, j) over all pivots k in a preallocated buffer.  Adding
+    tol rounds monotonically, so comparing with that least sum plus tol
+    decides the same as comparing pivot by pivot.  A violating (i, j)
+    implies (j, i) and the diagonal never violates, so pairs i < j suffice.
+    """
+    n = dist.shape[0]
+    rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // n))
+    total, least = np.empty((rows, n)), np.empty((rows, n))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        pair_sum, low = total[:b - a, :n - a], least[:b - a, :n - a]
+        low.fill(np.inf)
+        for k in range(n):
+            np.add(dist[a:b, k, None], dist[None, k, a:], out=pair_sum)
+            np.minimum(low, pair_sum, out=low)
+        low += tol
+        if np.any(dist[a:b, a:] > low):
+            return True
+    return False
+
+
 def validate_metric(dist: np.ndarray) -> None:
     """Check symmetry, zero diagonal, nonnegativity and all triangles.
 
-    O(n^3), vectorized one pivot at a time.  Raises MetricViolationError
-    with a witness triple (i, k, j) on the first triangle failure.
+    O(n^3), vectorized in row blocks.  Raises MetricViolationError with
+    the witness triple (i, k, j) that comes first in (k, i, j) order on a
+    triangle failure.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -52,7 +89,9 @@ def validate_metric(dist: np.ndarray) -> None:
         i, j = np.argwhere(dist != dist.T)[0]
         raise MetricViolationError(f"matrix not symmetric at ({i},{j})")
     tol = _TRIANGLE_RTOL * max(dist.max(), 1.0)
-    for k in range(n):
+    if not _violates_a_triangle(dist, tol):
+        return
+    for k in range(n):  # locate the first witness, pivot by pivot
         bad = dist > dist[:, k, None] + dist[None, k, :] + tol
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
@@ -61,37 +100,85 @@ def validate_metric(dist: np.ndarray) -> None:
                 f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}",
                 witness=(i, k, j),
             )
+    raise RuntimeError("the blockwise triangle check must agree with the pivot loop")
 
 
-@dataclass(frozen=True)
+def _line_distance(metric: str, a, b) -> np.ndarray:
+    """from_cloud's distance between the 1-D coordinates a and b
+    (broadcast): |a - b|, and sqrt(fl((a - b)^2)) for euclidean, so that
+    squares that underflow give the bits of the matrix.  It is exactly
+    symmetric and nondecreasing in |a - b|."""
+    diff = np.subtract(a, b)
+    if metric == "euclidean":
+        return np.sqrt(np.square(diff, out=diff), out=diff)
+    return np.abs(diff, out=diff)
+
+
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """The (n,) weights as a read-only array, if there is at least one and
+    every one is positive and finite."""
+    if weights.size == 0:
+        raise DomainError("space must contain at least one atom")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise DomainError("atom weights must be positive and finite")
+    weights.setflags(write=False)
+    return weights
+
+
 class MetricMeasureSpace:
-    """Atoms 0..n-1 with a distance matrix and positive atom weights."""
+    """Atoms 0..n-1 with a metric and positive atom weights.
 
-    dist: np.ndarray
-    weights: np.ndarray
-    metric_by_construction: bool = field(default=False, compare=False)
+    `MetricMeasureSpace(dist, weights)` is a matrix space.  `from_cloud`
+    of dimension 1 and `lattice` give line spaces, whose `coords` hold one
+    coordinate per atom and `order` their stable sort order (both None on
+    a matrix space), and whose `dist` is formed on first read.  Instances
+    are immutable.
+    """
 
-    def __post_init__(self):
-        dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+    def __init__(self, dist, weights, metric_by_construction: bool = False):
+        dist = np.ascontiguousarray(np.asarray(dist, dtype=float))
+        weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
         if weights.ndim != 1 or dist.shape != (weights.size, weights.size):
             raise DomainError("need an n x n distance matrix and n weights")
-        if weights.size == 0:
-            raise DomainError("space must contain at least one atom")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-            raise DomainError("atom weights must be positive and finite")
-        if not self.metric_by_construction:
-            if weights.size > _max_atoms():
+        weights = _checked_weights(weights)
+        n = weights.size
+        if not metric_by_construction:
+            if n > _max_atoms():
                 raise DomainError(
-                    f"{weights.size} atoms exceeds the validation cap "
+                    f"{n} atoms exceeds the validation cap "
                     f"({_max_atoms()}); set {MAX_ATOMS_ENV} or build with "
                     "metric_by_construction=True for a metric known to be valid"
                 )
             validate_metric(dist)
         dist.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
+                             metric=None, metric_by_construction=metric_by_construction)
+
+    @classmethod
+    def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
+        """Line space on the 1-D coordinates coords under from_cloud's metric."""
+        coords = np.array(coords, dtype=float)
+        weights = np.array(weights, dtype=float)
+        if weights.shape != coords.shape:
+            raise DomainError("need one weight per point")
+        coords.setflags(write=False)
+        order = np.argsort(coords, kind="stable")
+        space = object.__new__(cls)
+        space.__dict__.update(weights=_checked_weights(weights),
+                              coords=coords, metric=metric, metric_by_construction=True,
+                              order=order, _sorted=coords[order])
+        return space
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        """The n x n distance matrix (a line space's is formed here, on
+        first read, bitwise as from_cloud would form it)."""
+        dist = _line_distance(self.metric, self.coords[:, None], self.coords[None, :])
+        dist.setflags(write=False)
+        return dist
 
     @property
     def natoms(self) -> int:
@@ -103,21 +190,32 @@ class MetricMeasureSpace:
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max())
+        if self.coords is None:
+            return float(self.dist.max())
+        return float(_line_distance(self.metric, self._sorted[-1:], self._sorted[:1])[0])
 
     def __eq__(self, other) -> bool:
         """Same distances and weights, however the metric was checked."""
         if not isinstance(other, MetricMeasureSpace):
             return NotImplemented
-        return other is self or (np.array_equal(other.dist, self.dist)
-                                 and np.array_equal(other.weights, self.weights))
+        return other is self or (np.array_equal(other.weights, self.weights)
+                                 and np.array_equal(other.dist, self.dist))
+
+    # -- the ball layer ------------------------------------------------------
+
+    def distance_row(self, x: int, atoms=slice(None)) -> np.ndarray:
+        """d(x, y) for the atoms y that `atoms` selects (all by default),
+        bitwise equal to dist[x, atoms]."""
+        self._check_atom(x)
+        if self.coords is None:
+            return self.dist[x, atoms]
+        return _line_distance(self.metric, self.coords[x], self.coords[atoms])
 
     def ball_mask(self, x: int, r: float) -> np.ndarray:
         """Boolean mask of the closed ball B(x, r)."""
-        self._check_atom(x)
         if r < 0:
             raise DomainError("radius must be nonnegative")
-        return self.dist[x] <= r
+        return self.distance_row(x) <= r
 
     def ball_masks(self, r: float) -> np.ndarray:
         """(n, n) boolean array; row x is the mask of B(x, r)."""
@@ -125,15 +223,58 @@ class MetricMeasureSpace:
             raise DomainError("radius must be nonnegative")
         return self.dist <= r
 
-    def ball_measures(self, r: float) -> np.ndarray:
-        """mu(B(x, r)) for every atom x at once, summed a block of rows at a
-        time so that no n x n temporary is built."""
+    def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): on a line space, the ball of radius r around the atom
+        at sorted position s is the run of sorted positions [lo[s], hi[s]).
+
+        Both ends are found by a vectorized bisection (binary lifting) on
+        the exact predicate d(y, x) <= r, which holds on a run because d
+        grows with |c_y - c_x|.
+        """
         if r < 0:
             raise DomainError("radius must be nonnegative")
-        step = max(1, _BLOCK_ENTRIES // self.natoms)
-        return np.concatenate([
-            ((self.dist[i:i + step] <= r) * self.weights).sum(axis=1)
-            for i in range(0, self.natoms, step)])
+        if self.coords is None:
+            raise DomainError("only a line space has its balls as runs")
+        c, n = self._sorted, self.natoms
+
+        def reaches(probe):
+            """Whether position probe lies in the ball of each position."""
+            inside = (probe >= 0) & (probe < n)
+            inside[inside] = _line_distance(self.metric, c[probe[inside]], c[inside]) <= r
+            return inside
+
+        at = np.arange(n)
+        lo, hi = at.copy(), at + 1
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            hi += step * reaches(hi + step - 1)
+            lo -= step * reaches(lo - step)
+            step >>= 1
+        return lo, hi
+
+    def ball_measures(self, r: float) -> np.ndarray:
+        """mu(B(x, r)) for every atom x at once.
+
+        A line space sums each ball's run with np.add.reduceat (differences
+        of prefix sums would cancel).  A matrix space sums
+        (d(x, .) <= r) * weights a block of rows at a time, so that no
+        n x n temporary is built.
+        """
+        if r < 0:
+            raise DomainError("radius must be nonnegative")
+        if self.coords is None:
+            step = max(1, _BLOCK_ENTRIES // self.natoms)
+            return np.concatenate([
+                ((self.dist[i:i + step] <= r) * self.weights).sum(axis=1)
+                for i in range(0, self.natoms, step)])
+        # A trailing zero makes hi = n a valid index.  Every run is nonempty,
+        # so the even entries of reduceat over (lo_0, hi_0, lo_1, ...) are
+        # the run sums; the odd ones are single entries, as lo[s+1] <= hi[s].
+        bounds = np.column_stack(self.ball_runs(r)).ravel()
+        out = np.empty(self.natoms)
+        out[self.order] = np.add.reduceat(np.append(self.weights[self.order], 0.0),
+                                          bounds)[::2]
+        return out
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:
@@ -149,12 +290,12 @@ class MetricMeasureSpace:
     @classmethod
     def from_cloud(cls, coords, metric: str = "euclidean", weights=None):
         """Distances between the rows of coords under the euclidean, l1 or
-        linf metric.
+        linf metric.  Coordinates of dimension 1 give a line space.
 
-        The per-coordinate terms |x_k - y_k| (squared for euclidean) are
-        accumulated into one n x n buffer in coordinate order.  Since
-        y_k - x_k = -(x_k - y_k) exactly and x_k - x_k = 0, the result is
-        exactly symmetric with a zero diagonal.
+        In higher dimensions the per-coordinate terms |x_k - y_k| (squared
+        for euclidean) are accumulated into one n x n buffer in coordinate
+        order.  Since y_k - x_k = -(x_k - y_k) exactly and x_k - x_k = 0,
+        the result is exactly symmetric with a zero diagonal.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.ndim != 2:
@@ -164,8 +305,12 @@ class MetricMeasureSpace:
         if not np.all(np.isfinite(coords)):
             raise DomainError("coords must be finite")
         n, d = coords.shape
+        if weights is None:
+            weights = np.ones(n)
+        if d == 1:
+            return cls._line(coords[:, 0], metric, weights)
         dist = np.zeros((n, n))
-        term = np.empty((n, n)) if d > 1 else None
+        term = np.empty((n, n))
         magnitude = np.square if metric == "euclidean" else np.abs
         combine = np.maximum if metric == "linf" else np.add
         for k, col in enumerate(coords.T):
@@ -176,18 +321,15 @@ class MetricMeasureSpace:
                 combine(dist, term, out=dist)
         if metric == "euclidean":
             np.sqrt(dist, out=dist)
-        if weights is None:
-            weights = np.ones(coords.shape[0])
-        return cls(dist, np.asarray(weights, dtype=float), metric_by_construction=True)
+        return cls(dist, weights, metric_by_construction=True)
 
     @classmethod
-    def lattice(cls, L: int):
-        """Atoms {0..L} on the line, distance |x - y|, unit weights."""
+    def lattice(cls, L: int, weights=None):
+        """Atoms {0..L} on the line, distance |x - y|, unit weights by default."""
         if L < 0:
             raise DomainError("lattice size must be >= 0")
-        idx = np.arange(L + 1, dtype=float)
-        dist = np.abs(idx[:, None] - idx[None, :])
-        return cls(dist, np.ones(L + 1), metric_by_construction=True)
+        return cls._line(np.arange(L + 1, dtype=float), "l1",
+                         np.ones(L + 1) if weights is None else weights)
 
     @classmethod
     def from_graph(cls, n: int, edges, weights=None):
@@ -262,11 +404,7 @@ def build_space(spec: dict) -> MetricMeasureSpace:
     if kind == "lattice":
         if "L" not in spec:
             raise DomainError("lattice space needs an 'L' field")
-        space = MetricMeasureSpace.lattice(_field(spec, "L", int))
-        if weights is not None:
-            return MetricMeasureSpace.from_matrix(space.dist, weights,
-                                                  skip_validation=True)
-        return space
+        return MetricMeasureSpace.lattice(_field(spec, "L", int), weights=weights)
     if kind == "graph":
         if "n" not in spec or "edges" not in spec:
             raise DomainError("graph space needs 'n' and 'edges' fields")
@@ -327,7 +465,7 @@ def separated_points(space: MetricMeasureSpace, delta: float, k: int) -> list[in
         raise DomainError("separation delta must be positive")
     if k < 1:
         raise DomainError("need k >= 1")
-    scan = greedy_scan(space.natoms, lambda x, kept: space.dist[x, kept], delta)
+    scan = greedy_scan(space.natoms, lambda x, kept: space.distance_row(x, kept), delta)
     return list(itertools.islice((x for x, keep, _ in scan if keep), k))
 
 

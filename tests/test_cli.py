@@ -336,6 +336,47 @@ def test_out_of_memory_exits_two(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["avg", "--fn", "FN", "--r", "2"],
+    ["norm", "--fn", "FN", "--variant", "double-star", "--p", "3", "--q", "1.5"],
+    ["verify", "--lemma", "operator-bound", "--fn", "FN", "--r", "2", "--p", "3", "--q", "2"],
+    ["witness", "--r", "2", "--k", "10", "--p", "2", "--q", "2"],
+    ["build-space"],
+])
+def test_line_space_commands_fit_without_a_distance_matrix(tmp_path, command):
+    """A 1-D cloud of 20,000 atoms, whose distance matrix alone needs 3.2 GB,
+    under a 1 GiB address-space cap: every command that only queries balls
+    exits 0; build-space, which emits the full matrix, exits 2."""
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(11)
+    n = 20000
+    space = tmp_path / "line.json"
+    space.write_text(json.dumps({"kind": "cloud", "metric": "l1",
+                                 "coords": rng.uniform(0, 5000, (n, 1)).tolist(),
+                                 "weights": rng.uniform(0.2, 3.0, n).tolist()}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": np.round(rng.standard_normal(n), 2).tolist()}))
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    # BLAS thread pools reserve address space per thread; one thread keeps
+    # the cap independent of the core count.
+    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [str(fn) if arg == "FN" else arg for arg in command]
+    res = subprocess.run([sys.executable, "-m", "loravg.cli", argv[0], "--space", str(space),
+                          *argv[1:]], capture_output=True, text=True, timeout=120, env=env,
+                         preexec_fn=cap_memory)
+    if command[0] == "build-space":
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    else:
+        assert res.returncode == 0, res.stderr
+        json.loads(res.stdout)
+
+
 def test_probe_zero_step_exits_two(capsys):
     code = dispatch(["probe", "--family", "lattice:10:20:0", "--r", "1", "--p", "2",
                      "--q", "2", "--epsilon", "0.3", "--n", "5", "--seed", "1"])

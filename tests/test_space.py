@@ -11,6 +11,7 @@ from loravg import (
     FunctionOnSpace,
     MetricMeasureSpace,
     MetricViolationError,
+    average,
     ball,
     boundedness_report,
     build_space,
@@ -349,6 +350,12 @@ def cloud_cases(draw):
     return coords, metric, np.array(weights)
 
 
+def _measure_rtol(n):
+    """Two sums of n positive terms in different orders differ by at most
+    2 (n - 1) eps relative."""
+    return 2 * (n - 1) * np.finfo(float).eps
+
+
 @settings(max_examples=300, deadline=None)
 @given(cloud_cases(), st.floats(0, 1), st.integers(1, 40))
 def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, block):
@@ -361,12 +368,19 @@ def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, bl
     r = float(np.quantile(dist, quantile))
     masks = dist <= r
     measures = (masks * weights).sum(axis=1)
+
+    def assert_measures(got):
+        if coords.shape[1] > 1:
+            assert got.tobytes() == measures.tobytes()
+        else:  # line spaces sum each ball's run of atoms in coordinate order
+            assert np.all(np.abs(got - measures) <= _measure_rtol(len(weights)) * measures)
+
     with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block):  # several row blocks
-        assert sp.ball_measures(r).tobytes() == measures.tobytes()
-    assert sp.ball_measures(r).tobytes() == measures.tobytes()
+        assert_measures(sp.ball_measures(r))
+    assert_measures(sp.ball_measures(r))
     if r > 0:
         kernel = AveragingKernel.build(sp, r)
-        assert kernel.ball_measures.tobytes() == measures.tobytes()
+        assert_measures(kernel.ball_measures)
         weighted = masks * weights
         matrix = weighted / weighted.sum(axis=1)[:, None]
         assert kernel.matrix.tobytes() == matrix.tobytes()
@@ -376,3 +390,139 @@ def test_from_cloud_rejects_nonfinite_coords():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(DomainError):
             MetricMeasureSpace.from_cloud([[0.0], [bad]])
+
+
+def _reference_triangle_witness(dist):
+    """The full pivot loop validate_metric ran before its blockwise check:
+    the first violating (i, k, j) in (k, i, j) order, or None."""
+    tol = space_mod._TRIANGLE_RTOL * max(dist.max(), 1.0)
+    for k in range(dist.shape[0]):
+        bad = dist > dist[:, k, None] + dist[None, k, :] + tol
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            return i, k, j
+    return None
+
+
+@st.composite
+def corrupted_matrices(draw):
+    """A matrix_cases distance matrix with some symmetric pairs moved, to
+    just below, at or above a triangle's bound, or by a random factor."""
+    dist = np.array(draw(matrix_cases(max_atoms=9))[0].dist)
+    n = dist.shape[0]
+    tol = space_mod._TRIANGLE_RTOL * max(dist.max(), 1.0)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(0, n - 1))
+        value = draw(st.one_of(
+            st.sampled_from([-1, 0, 1]).map(
+                lambda ulps: np.nextafter(dist[i, k] + dist[k, j] + tol, np.inf * ulps)
+                if ulps else dist[i, k] + dist[k, j] + tol),
+            st.sampled_from([0.0, 0.5, 2.0, 3.0]).map(lambda c: c * dist[i, j])))
+        dist[i, j] = dist[j, i] = max(float(value), 0.0)
+    return dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_matrices(), st.integers(1, 64))
+def test_blockwise_triangle_check_matches_pivot_loop(dist, block):
+    want = _reference_triangle_witness(dist)
+    with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", block):
+        if want is None:
+            space_mod.validate_metric(dist)
+            return
+        with pytest.raises(MetricViolationError) as err:
+            space_mod.validate_metric(dist)
+    i, k, j = want
+    assert err.value.witness == want
+    assert str(err.value) == (f"triangle violation: d({i},{j})={dist[i, j]} > "
+                              f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}")
+
+
+@st.composite
+def line_cases(draw):
+    """(space, reference distances, values): a 1-D cloud under any metric,
+    unsorted, with duplicate and negative coordinates at scales down to
+    where euclidean squares underflow, or a weighted lattice; values is
+    (n,) or (n, m)."""
+    weight = st.sampled_from([0.1, 0.3, 1.0, 2.7])
+    if draw(st.booleans()):
+        L = draw(st.integers(0, 12))
+        space = build_space({"kind": "lattice", "L": L,
+                             "weights": draw(st.lists(weight, min_size=L + 1,
+                                                      max_size=L + 1))})
+        idx = np.arange(L + 1.0)
+        reference = np.abs(idx[:, None] - idx[None, :])
+    else:
+        n = draw(st.integers(1, 12))
+        scale = 10.0 ** draw(st.sampled_from([-170, -155, -20, -7, 0, 7, 20]))
+        entries = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+        coords = np.array(draw(st.lists(entries, min_size=n, max_size=n))) * scale
+        coords[draw(st.integers(0, n - 1))] = coords[0]
+        metric = draw(st.sampled_from(["euclidean", "l1", "linf"]))
+        space = MetricMeasureSpace.from_cloud(coords[:, None], metric=metric,
+                                              weights=draw(st.lists(weight, min_size=n,
+                                                                    max_size=n)))
+        reference = _reference_cloud_distances(coords[:, None], metric)
+    shape = (space.natoms,) + tuple(draw(st.lists(st.integers(1, 3), max_size=1)))
+    values = np.array(draw(st.lists(st.floats(-10, 10), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    return space, reference, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(line_cases(), st.data())
+def test_interval_ball_layer_matches_matrix_forms(case, data):
+    sp, reference, values = case
+    assert sp.coords is not None
+    n = sp.natoms
+    # A radius at an attained distance or one of its floating-point neighbours.
+    x0, y0 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    attained = sp.distance_row(x0)[y0]
+    side = data.draw(st.sampled_from([-1, 0, 1]))
+    r = max(float(np.nextafter(attained, side * np.inf) if side else attained), 0.0)
+    rows = [sp.distance_row(x) for x in range(n)]
+    masks = [sp.ball_mask(x, r) for x in range(n)]
+    measures = sp.ball_measures(r)
+    diameter = sp.diameter
+    kernel = AveragingKernel.build(sp, r) if r > 0 else None
+    means = kernel.means(values) if kernel else None
+    assert "dist" not in vars(sp)  # no n x n matrix so far
+
+    dist = sp.dist
+    assert dist.tobytes() == reference.tobytes()
+    for x in range(n):
+        assert rows[x].tobytes() == dist[x].tobytes()
+        assert np.array_equal(masks[x], dist[x] <= r)
+    assert np.array_equal(sp.ball_masks(r), dist <= r)
+    assert diameter == dist.max()
+    want = ((dist <= r) * sp.weights).sum(axis=1)
+    assert np.all(np.abs(measures - want) <= _measure_rtol(n) * want)
+    if kernel:
+        matrix = (dist <= r) * sp.weights
+        matrix /= matrix.sum(axis=1)[:, None]
+        assert kernel.matrix.tobytes() == matrix.tobytes()
+        atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
+        np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
+        if values.ndim == 1:
+            np.testing.assert_array_equal(kernel.apply(FunctionOnSpace(sp, values)).values,
+                                          means)
+
+
+def test_weighted_lattice_stays_a_line_space(rng):
+    weights = rng.uniform(0.2, 3.0, 41)
+    sp = build_space({"kind": "lattice", "L": 40, "weights": weights.tolist()})
+    f = FunctionOnSpace(sp, rng.standard_normal(41))
+    measures = {r: sp.ball_measures(r) for r in (0.5, 1.0, 3.0, 100.0)}
+    averages = {r: average(sp, f, r).values for r in measures}
+    assert "dist" not in vars(sp)
+    idx = np.arange(41.0)
+    ref = MetricMeasureSpace.from_matrix(np.abs(idx[:, None] - idx[None, :]), weights)
+    assert sp == ref
+    g = FunctionOnSpace(ref, f.values)
+    for r, got in measures.items():
+        want = ref.ball_measures(r)
+        assert np.all(np.abs(got - want) <= _measure_rtol(41) * want)
+        np.testing.assert_allclose(averages[r], average(ref, g, r).values, rtol=0,
+                                   atol=1e-14 * np.abs(f.values).max())
