@@ -30,6 +30,10 @@ def holds(lhs, rhs):
     return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
+# Coefficients per row block when a line-space kernel is applied: 2 MB.
+_BAND_ENTRIES = 1 << 18
+
+
 def _stochastic_matrix(space: MetricMeasureSpace, r: float):
     """(matrix, ball measures): row x of matrix holds w_y / mu(B(x, r)) on
     B(x, r) and 0 elsewhere."""
@@ -49,8 +53,8 @@ class AveragingKernel:
     B(x, r) and 0 elsewhere, so applying it to a value vector is exactly
     the ball averaging.  A matrix space builds that matrix at once.  A
     line space holds its ball runs (`runs`, see `ball_runs`) instead,
-    applies the same coefficients run by run, and forms `matrix` only when
-    it is read.
+    applies the coefficients a band of rows at a time (see `means`), and
+    forms `matrix` only when it is read.
     """
 
     space: MetricMeasureSpace
@@ -66,7 +70,12 @@ class AveragingKernel:
         if space.coords is None:
             matrix, measures = _stochastic_matrix(space, r)
             return cls(space=space, r=float(r), ball_measures=measures, _matrix=matrix)
-        return cls(space=space, r=float(r), ball_measures=space.ball_measures(r),
+        measures = space.ball_measures(r)
+        # A ball measure above DBL_MAX would turn every coefficient into 0;
+        # the matrix form's row-sum check rejects it too.
+        if not np.all(np.isfinite(measures)):
+            raise RuntimeError("averaging kernel rows must sum to 1")
+        return cls(space=space, r=float(r), ball_measures=measures,
                    runs=space.ball_runs(r))
 
     @property
@@ -78,10 +87,16 @@ class AveragingKernel:
     def means(self, values) -> np.ndarray:
         """A_r of an (n,) value array, or of each column of an (n, m) one.
 
-        On a line space the kernel row of x is applied run by run: offset
-        t of every ball adds (w_y / mu(B(x, r))) * values[y] at once, for
-        the atom y at sorted position lo + t.  The coefficients are the
-        matrix entries, rounded as there.
+        On a line space the ball of the atom at sorted position s is the
+        run [lo[s], hi[s]), and both ends grow with s.  So a block of rows
+        [a, b) reads only the columns [lo[a], hi[b - 1]), which span fewer
+        than (b - a) + 2 * (longest run) atoms.  Each block forms its
+        coefficients w_y / mu(B(x, r)), with mu the run sums of
+        `ball_measures`, and multiplies them in one matrix product.  Rows
+        per block grow with the longest run, up to _BAND_ENTRIES
+        coefficients.  These are the entries of `matrix` where its row sums
+        equal the run sums (always for integer weights), and within a few
+        ulps of them otherwise.
         """
         values = np.asarray(values, dtype=float)
         if self.runs is None:
@@ -89,12 +104,16 @@ class AveragingKernel:
         order, (lo, hi) = self.space.order, self.runs
         weights, measures = self.space.weights[order], self.ball_measures[order]
         ordered = values[order].reshape(order.size, -1)
-        total = np.zeros_like(ordered)
-        for t in range(int((hi - lo).max())):
-            y = np.minimum(lo + t, hi - 1)
-            total += np.where(lo + t < hi, weights[y] / measures, 0.0)[:, None] * ordered[y]
-        out = np.empty_like(total)
-        out[order] = total
+        longest = int((hi - lo).max())
+        rows = max(1, min(max(64, longest), _BAND_ENTRIES // (3 * longest)))
+        out = np.empty_like(ordered)
+        for a in range(0, order.size, rows):
+            b = min(a + rows, order.size)
+            start, stop = lo[a], hi[b - 1]
+            block = weights[start:stop] / measures[a:b, None]
+            at = np.arange(start, stop)
+            block *= (at >= lo[a:b, None]) & (at < hi[a:b, None])
+            out[order[a:b]] = block @ ordered[start:stop]
         return out.reshape(values.shape)
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:

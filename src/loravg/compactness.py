@@ -254,7 +254,8 @@ def compactness_probe(spaces: list[MetricMeasureSpace], r: float, spec: NormSpec
     for index, (space, label) in enumerate(zip(spaces, labels)):
         kernel = AveragingKernel.build(space, r)
         samples = sample_unit_sphere(space, spec, n, seed + index)
-        images = [kernel.apply(f) for f in samples]
+        columns = kernel.means(np.stack([f.values for f in samples], axis=1))
+        images = [FunctionOnSpace(space, column) for column in columns.T]
         cover = covering_number(images, epsilon, spec)
         witness = witness_sequence(space, r, space.natoms, spec)
         if witness.bounded_regime:

@@ -21,6 +21,7 @@ from loravg import (
     symm_diff_measure,
     vitali_subfamily,
 )
+from loravg import averaging as averaging_mod
 from loravg import space as space_mod
 from loravg.compactness import _separated_count
 from conftest import matrix_cases, random_space
@@ -487,7 +488,11 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
     measures = sp.ball_measures(r)
     diameter = sp.diameter
     kernel = AveragingKernel.build(sp, r) if r > 0 else None
-    means = kernel.means(values) if kernel else None
+    band = data.draw(st.sampled_from([1, 3, 8, 40, 1 << 18]))  # rows per band 1..n
+    with mock.patch.object(averaging_mod, "_BAND_ENTRIES", band):
+        means = kernel.means(values) if kernel else None
+        applied = (kernel.apply(FunctionOnSpace(sp, values)).values
+                   if kernel and values.ndim == 1 else None)
     assert "dist" not in vars(sp)  # no n x n matrix so far
 
     dist = sp.dist
@@ -506,8 +511,35 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
         atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
         np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
         if values.ndim == 1:
-            np.testing.assert_array_equal(kernel.apply(FunctionOnSpace(sp, values)).values,
-                                          means)
+            np.testing.assert_array_equal(applied, means)
+
+
+def test_line_kernel_bands_match_matrix_on_long_runs(rng):
+    """Several row bands at the default size, from single-atom balls up to
+    balls that hold the whole cloud."""
+    coords = np.repeat(rng.uniform(-50.0, 50.0, 300), 2)
+    sp = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1",
+                                       weights=rng.uniform(0.2, 3.0, coords.size))
+    values = rng.standard_normal((coords.size, 4))
+    kernels = [AveragingKernel.build(sp, r) for r in (1e-9, 0.5, 10.0, 60.0, sp.diameter)]
+    lo, hi = kernels[-1].runs
+    assert np.all(hi - lo == sp.natoms)
+    means = [(k.means(values), k.means(values[:, 0])) for k in kernels]
+    assert "dist" not in vars(sp)
+    atol = 1e-14 * np.abs(values).max()
+    for kernel, (columns, column) in zip(kernels, means):
+        want = kernel.matrix @ values
+        np.testing.assert_allclose(columns, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(column, want[:, 0], rtol=0, atol=atol)
+
+
+def test_overflowing_ball_measure_fails_on_both_space_forms():
+    sp = build_space({"kind": "lattice", "L": 1, "weights": [1e308, 1e308]})
+    matrix_space = MetricMeasureSpace.from_matrix(sp.dist, sp.weights)
+    with np.errstate(over="ignore"):
+        for space in (sp, matrix_space):
+            with pytest.raises(RuntimeError, match="rows must sum to 1"):
+                AveragingKernel.build(space, 1.0)
 
 
 def test_weighted_lattice_stays_a_line_space(rng):
