@@ -13,15 +13,16 @@ tight constants entering the paper-style bounds:
 * the equicontinuity modulus of {A_r f : ||f|| <= 1} between two atoms.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lebesgue_norm, lorentz_norm
 from .rearrange import FunctionOnSpace, distribution_function, maximal_profile, rearrangement
-from .space import MetricMeasureSpace, symm_diff_measure
+from .space import MetricMeasureSpace, doubling_constant, symm_diff_measure
 
 
 def holds(lhs, rhs):
@@ -30,91 +31,48 @@ def holds(lhs, rhs):
     return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
-# Coefficients per row block when a line-space kernel is applied: 2 MB.
-_BAND_ENTRIES = 1 << 18
-
-
-def _stochastic_matrix(space: MetricMeasureSpace, r: float):
-    """(matrix, ball measures): row x of matrix holds w_y / mu(B(x, r)) on
-    B(x, r) and 0 elsewhere."""
-    matrix = (space.dist <= r) * space.weights
-    measures = matrix.sum(axis=1)
-    matrix /= measures[:, None]
-    if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12):
-        raise RuntimeError("averaging kernel rows must sum to 1")
-    return matrix, measures
-
-
 @dataclass(frozen=True)
 class AveragingKernel:
     """The averaging operator at radius r.
 
-    Its row-stochastic `matrix` holds w_y / mu(B(x, r)) in row x on
-    B(x, r) and 0 elsewhere, so applying it to a value vector is exactly
-    the ball averaging.  A matrix space builds that matrix at once.  A
-    line space holds its ball runs (`runs`, see `ball_runs`) instead,
-    applies the coefficients a band of rows at a time (see `means`), and
-    forms `matrix` only when it is read.
+    Row x of its row-stochastic `matrix` holds w_y / mu(B(x, r)) on
+    B(x, r) and 0 elsewhere, with mu the space's `ball_measures`, so
+    applying it to a value vector is exactly the ball averaging.  The
+    kernel reads its balls from `space.ball_blocks` a block at a time and
+    never needs that n x n matrix; `matrix` is formed only when read.
     """
 
     space: MetricMeasureSpace
     r: float
     ball_measures: np.ndarray
-    runs: tuple[np.ndarray, np.ndarray] | None = None
-    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, space: MetricMeasureSpace, r: float) -> "AveragingKernel":
-        if r <= 0:
+        if not r > 0:
             raise DomainError("averaging radius must be positive")
-        if space.coords is None:
-            matrix, measures = _stochastic_matrix(space, r)
-            return cls(space=space, r=float(r), ball_measures=measures, _matrix=matrix)
         measures = space.ball_measures(r)
-        # A ball measure above DBL_MAX would turn every coefficient into 0;
-        # the matrix form's row-sum check rejects it too.
+        # A ball measure above DBL_MAX would turn every coefficient into 0.
         if not np.all(np.isfinite(measures)):
             raise RuntimeError("averaging kernel rows must sum to 1")
-        return cls(space=space, r=float(r), ball_measures=measures,
-                   runs=space.ball_runs(r))
+        return cls(space=space, r=float(r), ball_measures=measures)
 
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix", _stochastic_matrix(self.space, self.r)[0])
-        return self._matrix
+        matrix = self.means(np.eye(self.space.natoms))
+        if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12):
+            raise RuntimeError("averaging kernel rows must sum to 1")
+        return matrix
 
     def means(self, values) -> np.ndarray:
-        """A_r of an (n,) value array, or of each column of an (n, m) one.
-
-        On a line space the ball of the atom at sorted position s is the
-        run [lo[s], hi[s]), and both ends grow with s.  So a block of rows
-        [a, b) reads only the columns [lo[a], hi[b - 1]), which span fewer
-        than (b - a) + 2 * (longest run) atoms.  Each block forms its
-        coefficients w_y / mu(B(x, r)), with mu the run sums of
-        `ball_measures`, and multiplies them in one matrix product.  Rows
-        per block grow with the longest run, up to _BAND_ENTRIES
-        coefficients.  These are the entries of `matrix` where its row sums
-        equal the run sums (always for integer weights), and within a few
-        ulps of them otherwise.
-        """
+        """A_r of an (n,) value array, or of each column of an (n, m) one:
+        per block of balls, the coefficients w_y / mu(B(x, r)) of `matrix`
+        times the values in one matrix product."""
         values = np.asarray(values, dtype=float)
-        if self.runs is None:
-            return self.matrix @ values
-        order, (lo, hi) = self.space.order, self.runs
-        weights, measures = self.space.weights[order], self.ball_measures[order]
-        ordered = values[order].reshape(order.size, -1)
-        longest = int((hi - lo).max())
-        rows = max(1, min(max(64, longest), _BAND_ENTRIES // (3 * longest)))
-        out = np.empty_like(ordered)
-        for a in range(0, order.size, rows):
-            b = min(a + rows, order.size)
-            start, stop = lo[a], hi[b - 1]
-            block = weights[start:stop] / measures[a:b, None]
-            at = np.arange(start, stop)
-            block *= (at >= lo[a:b, None]) & (at < hi[a:b, None])
-            out[order[a:b]] = block @ ordered[start:stop]
-        return out.reshape(values.shape)
+        weights, measures = self.space.weights, self.ball_measures
+        out = np.empty(values.shape)
+        for rows, cols, inside in self.space.ball_blocks(self.r):
+            out[rows] = (weights[cols] / measures[rows, None]) * inside @ values[cols]
+        return out
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:
         return FunctionOnSpace(self.space, self.means(f.values))
@@ -187,13 +145,8 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
 
 def distribution_constant(space: MetricMeasureSpace, r: float):
     """(c, (g1, g2, g3)) with c = g1*g2*g3 + 1 from the tight doubling
-    constants at scales r, 2r and 4r (ball measures at r, 2r, 4r and 8r,
-    each computed once)."""
-    if r <= 0:
-        raise DomainError("doubling scale must be positive")
-    measures = [space.ball_measures(s) for s in (r, 2 * r, 4 * r, 8 * r)]
-    g1, g2, g3 = (float(np.max(big / small))
-                  for small, big in zip(measures, measures[1:]))
+    constants at scales r, 2r and 4r."""
+    g1, g2, g3 = (doubling_constant(space, s).gamma for s in (r, 2 * r, 4 * r))
     return g1 * g2 * g3 + 1.0, (g1, g2, g3)
 
 
@@ -219,7 +172,7 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
     failing ones if any fails; `passed` holds only if every threshold does.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.size == 0 or np.any(t <= 0):
+    if t.size == 0 or not np.all(t > 0):
         raise DomainError("need positive thresholds, and at least one "
                           "(the zero function has none)")
     c, gammas = distribution_constant(space, r)
@@ -304,10 +257,9 @@ def equicontinuity_bound_matrix(space: MetricMeasureSpace, r: float,
     """bound(x, y) for all atom pairs at once (vectorized form of
     equicontinuity_modulus's first component)."""
     masks = space.ball_masks(r)
-    weighted = masks * space.weights
-    mu = weighted.sum(axis=1)
+    mu = space.ball_measures(r)
     # mu(B(x,r) \ B(y,r)) summed without cancellation, so equal balls get 0
-    outside = weighted @ ~masks.T
+    outside = (masks * space.weights) @ ~masks.T
     sd = outside + outside.T
     lam = holder_constants(spec, 1.0).lam
     one_minus = 1.0 - 1.0 / spec.p

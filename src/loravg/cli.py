@@ -140,7 +140,7 @@ def _cmd_rearrange(args) -> int:
 def _cmd_avg(args) -> int:
     sp = _space_from_args(args)
     f = _function_from_args(args, sp)
-    if args.r <= 0:
+    if not args.r > 0:
         raise CLIError("--r must be positive")
     _emit_json(averaging.average(sp, f, args.r).to_json(), args.out)
     return 0
@@ -226,7 +226,7 @@ def _verify_equicontinuity(sp, fs, r, spec) -> tuple[list[dict], float, float | 
 def _cmd_verify(args) -> int:
     sp = _space_from_args(args)
     spec = _norm_spec(args)
-    if args.r <= 0:
+    if not args.r > 0:
         raise CLIError("--r must be positive")
     if args.trials < 1:
         raise CLIError("--trials must be at least 1")
@@ -433,6 +433,9 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except MemoryError as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except OverflowError:  # float ** float past DBL_MAX, e.g. from --q 1e308
+        print("error: a result overflows the floating-point range", file=sys.stderr)
         return 2
     finally:
         print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)

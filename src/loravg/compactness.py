@@ -76,7 +76,7 @@ def covering_number(points: list[FunctionOnSpace], epsilon: float,
     """Greedy sequential net: scan in order, keep a point iff it is more
     than epsilon away from every kept point.  The net size upper-bounds
     the true epsilon-covering number of the sample."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     net: list[int] = []
     max_residual = 0.0
@@ -112,7 +112,7 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
     admissible norm; with fewer than two such centers the space is in the
     bounded regime and no witness exists.
     """
-    if r <= 0:
+    if not r > 0:
         raise DomainError("radius must be positive")
     centers = separated_points(space, 4 * r, k)
     c_lower = min_ball_ratio(space, r)
@@ -123,7 +123,7 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
     kernel = AveragingKernel.build(space, r)
     functions = []
     for x in centers:
-        mass = float(space.weights[space.ball_mask(x, r)].sum())
+        mass = float(kernel.ball_measures[x])
         alpha = holder_constants(spec, mass).alpha
         bump = FunctionOnSpace.indicator(space, space.ball_mask(x, 2 * r))
         functions.append(bump * (alpha / mass))
@@ -164,7 +164,7 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
     reported as is; for g far from an averaged function it can exceed
     epsilon.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     chi_x_norm = lorentz_norm(FunctionOnSpace.indicator(space, np.ones(space.natoms, bool)), spec)
     osc_cap = epsilon / (2.0 * chi_x_norm)

@@ -109,17 +109,6 @@ class StepFunction:
         out = padded[np.minimum(idx, self.levels.size)]
         return float(out) if out.ndim == 0 else out
 
-    def integral(self) -> float:
-        """Exact integral over [0, inf)."""
-        return float(np.dot(self.levels, np.diff(self.breakpoints)))
-
-    def measure_above(self, t: float) -> float:
-        """Lebesgue measure of {s : value(s) > t}, exact from the representation."""
-        if t < 0:
-            raise DomainError("threshold must be nonnegative")
-        j = int(np.sum(self.levels > t))
-        return float(self.breakpoints[j]) if j else 0.0
-
     def to_json(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(),
                 "levels": self.levels.tolist()}

@@ -7,12 +7,16 @@ enumerations, so the quantities studied here (doubling constants, Vitali
 subfamilies, symmetric differences) are exact up to floating-point
 rounding.
 
-A matrix space holds its full distance matrix.  A line space (a cloud of
-dimension 1, or a lattice) keeps its coordinates and their sort order
-instead, and forms the matrix only when `dist` is first read.  There a
-ball is a run of consecutive atoms in coordinate order, so the ball layer
-(`distance_row`, `ball_mask`, `ball_runs`, `ball_measures`) needs O(n) memory
-and no n x n array.
+Every decision about how a ball is stored and summed is made here, in the
+ball layer of `MetricMeasureSpace` (`distance_row`, `ball_mask`,
+`ball_blocks`, `ball_measures`); the averaging operator and the checks
+read balls only through it.  A matrix space holds its full distance
+matrix.  A line space (a cloud of dimension 1, or a lattice) keeps its
+coordinates and their sort order instead, and forms the matrix only when
+`dist` is first read.  There a ball is a run of consecutive atoms in
+coordinate order (`ball_runs`), so the layer needs O(n) memory and no
+n x n array.  Spaces are immutable, so the ball measures of each radius
+are computed once.
 """
 
 import functools
@@ -28,8 +32,8 @@ from .errors import DomainError, MetricViolationError
 DEFAULT_MAX_ATOMS = 5000
 MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 
-# Entries per row block of the matrix-space ball sums: about 8 MB of float64.
-_BLOCK_ENTRIES = 1 << 20
+# Entries per block of balls (see `ball_blocks`): 2 MB of float64.
+_BLOCK_ENTRIES = 1 << 18
 
 # Entries per row block of the triangle check: two float64 buffers that
 # stay in cache while every pivot passes over them.
@@ -114,6 +118,11 @@ def _line_distance(metric: str, a, b) -> np.ndarray:
     return np.abs(diff, out=diff)
 
 
+def _check_radius(r: float) -> None:
+    if not r >= 0:  # NaN fails too
+        raise DomainError("radius must be nonnegative")
+
+
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
     """The (n,) weights as a read-only array, if there is at least one and
     every one is positive and finite."""
@@ -152,7 +161,8 @@ class MetricMeasureSpace:
             validate_metric(dist)
         dist.setflags(write=False)
         self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
-                             metric=None, metric_by_construction=metric_by_construction)
+                             metric=None, metric_by_construction=metric_by_construction,
+                             _measures={})
 
     @classmethod
     def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
@@ -166,7 +176,7 @@ class MetricMeasureSpace:
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
                               coords=coords, metric=metric, metric_by_construction=True,
-                              order=order, _sorted=coords[order])
+                              order=order, _sorted=coords[order], _measures={})
         return space
 
     def __setattr__(self, name, value):
@@ -213,14 +223,12 @@ class MetricMeasureSpace:
 
     def ball_mask(self, x: int, r: float) -> np.ndarray:
         """Boolean mask of the closed ball B(x, r)."""
-        if r < 0:
-            raise DomainError("radius must be nonnegative")
+        _check_radius(r)
         return self.distance_row(x) <= r
 
     def ball_masks(self, r: float) -> np.ndarray:
         """(n, n) boolean array; row x is the mask of B(x, r)."""
-        if r < 0:
-            raise DomainError("radius must be nonnegative")
+        _check_radius(r)
         return self.dist <= r
 
     def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +239,7 @@ class MetricMeasureSpace:
         the exact predicate d(y, x) <= r, which holds on a run because d
         grows with |c_y - c_x|.
         """
-        if r < 0:
-            raise DomainError("radius must be nonnegative")
+        _check_radius(r)
         if self.coords is None:
             raise DomainError("only a line space has its balls as runs")
         c, n = self._sorted, self.natoms
@@ -252,28 +259,61 @@ class MetricMeasureSpace:
             step >>= 1
         return lo, hi
 
-    def ball_measures(self, r: float) -> np.ndarray:
-        """mu(B(x, r)) for every atom x at once.
+    def ball_blocks(self, r: float):
+        """Yield (rows, cols, inside), a block of balls at a time: inside[i, j]
+        says whether atom cols[j] lies in B(rows[i], r).  Every atom is in
+        exactly one block's rows, and no ball reaches outside its block's
+        cols.  A block has at most about _BLOCK_ENTRIES entries.
 
-        A line space sums each ball's run with np.add.reduceat (differences
-        of prefix sums would cancel).  A matrix space sums
-        (d(x, .) <= r) * weights a block of rows at a time, so that no
-        n x n temporary is built.
+        A matrix space yields row slices of dist <= r over all columns.  On
+        a line space the ball of the atom at sorted position s is the run
+        [lo[s], hi[s]) (see `ball_runs`), and both ends grow with s.  So a
+        block of sorted positions [a, b) needs only the columns
+        [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest run), and
+        rows per block grow with the longest run.
         """
-        if r < 0:
-            raise DomainError("radius must be nonnegative")
+        _check_radius(r)
+        n = self.natoms
         if self.coords is None:
-            step = max(1, _BLOCK_ENTRIES // self.natoms)
-            return np.concatenate([
-                ((self.dist[i:i + step] <= r) * self.weights).sum(axis=1)
-                for i in range(0, self.natoms, step)])
-        # A trailing zero makes hi = n a valid index.  Every run is nonempty,
-        # so the even entries of reduceat over (lo_0, hi_0, lo_1, ...) are
-        # the run sums; the odd ones are single entries, as lo[s+1] <= hi[s].
-        bounds = np.column_stack(self.ball_runs(r)).ravel()
-        out = np.empty(self.natoms)
-        out[self.order] = np.add.reduceat(np.append(self.weights[self.order], 0.0),
-                                          bounds)[::2]
+            step = max(1, _BLOCK_ENTRIES // n)
+            for a in range(0, n, step):
+                yield slice(a, a + step), slice(None), self.dist[a:a + step] <= r
+            return
+        order, (lo, hi) = self.order, self.ball_runs(r)
+        longest = int((hi - lo).max())
+        step = max(1, min(max(64, longest), _BLOCK_ENTRIES // (3 * longest)))
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            at = np.arange(lo[a], hi[b - 1])
+            yield (order[a:b], order[lo[a]:hi[b - 1]],
+                   (at >= lo[a:b, None]) & (at < hi[a:b, None]))
+
+    def ball_measures(self, r: float) -> np.ndarray:
+        """mu(B(x, r)) for every atom x at once, as a read-only array that
+        is computed once per radius.
+
+        A matrix space sums the rows of `ball_blocks` times the weights.  A
+        line space sums each ball's run with np.add.reduceat (differences
+        of prefix sums would cancel).
+        """
+        _check_radius(r)
+        r = float(r)
+        if r in self._measures:
+            return self._measures[r]
+        if self.coords is None:
+            out = np.concatenate([(inside * self.weights).sum(axis=1)
+                                  for _, _, inside in self.ball_blocks(r)])
+        else:
+            # A trailing zero makes hi = n a valid index.  Every run is
+            # nonempty, so the even entries of reduceat over
+            # (lo_0, hi_0, lo_1, ...) are the run sums; the odd ones are
+            # single entries, as lo[s+1] <= hi[s].
+            bounds = np.column_stack(self.ball_runs(r)).ravel()
+            out = np.empty(self.natoms)
+            out[self.order] = np.add.reduceat(np.append(self.weights[self.order], 0.0),
+                                              bounds)[::2]
+        out.setflags(write=False)
+        self._measures[r] = out
         return out
 
     def _check_atom(self, x: int) -> None:
@@ -431,7 +471,7 @@ class DoublingReport:
 
 def doubling_constant(space: MetricMeasureSpace, s: float) -> DoublingReport:
     """Tight s-doubling constant; finite spaces are always s-doubling."""
-    if s <= 0:
+    if not s > 0:
         raise DomainError("doubling scale must be positive")
     small = space.ball_measures(s)
     big = space.ball_measures(2 * s)
@@ -461,7 +501,7 @@ def separated_points(space: MetricMeasureSpace, delta: float, k: int) -> list[in
     Greedy scan in index order starting from atom 0; may return fewer
     than k points when the space cannot host them.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError("separation delta must be positive")
     if k < 1:
         raise DomainError("need k >= 1")
@@ -530,13 +570,13 @@ class BoundednessReport:
 
 def min_ball_ratio(space: MetricMeasureSpace, r: float) -> float:
     """inf over atoms of mu(B(x,r))/mu(B(x,2r)); the witness separation constant."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError("radius must be positive")
     return float((space.ball_measures(r) / space.ball_measures(2 * r)).min())
 
 
 def boundedness_report(space: MetricMeasureSpace, r: float) -> BoundednessReport:
-    if r <= 0:
+    if not r > 0:
         raise DomainError("radius must be positive")
     return BoundednessReport(
         radius=float(r),

@@ -1,9 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loravg import (
     AveragingKernel,
@@ -23,6 +25,7 @@ from loravg import (
     verify_rearrangement_bound,
 )
 from loravg import averaging
+from loravg import space as space_mod
 from loravg.averaging import equicontinuity_bound_matrix, holds, threshold_sweep
 from loravg.rearrange import distribution_function
 from loravg.space import doubling_constant
@@ -41,6 +44,39 @@ def test_average_examples():
     f = FunctionOnSpace(wsp, [4.0, 0.0])
     big = average(wsp, f, 10.0)
     assert np.allclose(big.values, 1.0)  # weighted mean 4*1/4
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_cases(), st.sampled_from([1, 3, 40, 1 << 18]), st.booleans())
+def test_matrix_kernel_blocks_match_the_full_product(case, block, columns):
+    """A matrix space's kernel a block of rows at a time (one row per
+    block up to all rows in one) against the whole product.  matrix_cases
+    builds a new space per example, so no ball measures memoized under
+    another block size stand in for the patched path."""
+    sp, f, r = case
+    values = np.column_stack((f.values, f.values[::-1])) if columns else f.values
+    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block):
+        kernel = AveragingKernel.build(sp, r)
+        means = kernel.means(values)
+    matrix = (sp.dist <= r) * sp.weights / kernel.ball_measures[:, None]
+    atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
+    np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
+
+
+def test_kernel_matrix_has_the_ball_measures_as_its_one_normaliser(rng):
+    """On both space forms the kernel matrix divides by the space's ball
+    measures, the same normaliser as `means`."""
+    forms = set()
+    for _ in range(12):
+        sp = random_space(rng)
+        forms.add(sp.coords is None)
+        r = random_radius(rng, sp)
+        kernel = AveragingKernel.build(sp, r)
+        assert kernel.ball_measures is sp.ball_measures(r)
+        want = (sp.dist <= r) * sp.weights / kernel.ball_measures[:, None]
+        assert kernel.matrix.tobytes() == want.tobytes()
+        assert np.all(np.abs(kernel.matrix.sum(axis=1) - 1.0) <= 1e-12)
+    assert forms == {True, False}
 
 
 def test_kernel_rows_and_positivity(rng):

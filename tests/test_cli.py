@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loravg
 from loravg.cli import dispatch
@@ -400,3 +404,125 @@ def test_skip_validation_key_cannot_admit_a_non_metric(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "triangle" in captured.err
+
+
+@pytest.fixture(scope="module")
+def small_spaces(tmp_path_factory):
+    """{form: (space file, function file)}: a 6-atom line space (a 1-D
+    cloud) and a 6-atom matrix space (a 2-D cloud)."""
+    root = tmp_path_factory.mktemp("forms")
+    fn = root / "f.json"
+    fn.write_text(json.dumps({"values": [1.0, -0.5, 0.25, 2.0, 0.0, -1.5]}))
+    weights = [1.0, 0.5, 2.0, 1.0, 0.3, 1.2]
+    coords = {"line": [[0.0], [0.7], [1.5], [3.1], [4.0], [6.2]],
+              "matrix": [[0.0, 0.0], [0.7, 0.2], [1.5, 1.0], [3.1, 0.4], [4.0, 2.0],
+                         [6.2, 0.5]]}
+    out = {}
+    for form, points in coords.items():
+        space = root / f"{form}.json"
+        space.write_text(json.dumps({"kind": "cloud", "metric": "l1", "coords": points,
+                                     "weights": weights}))
+        out[form] = (str(space), str(fn))
+    return out
+
+
+def _dispatch_quietly(argv):
+    """(exit code, stderr) of one in-process run, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, err.getvalue()
+
+
+_NAN_COMMANDS = [
+    ["avg", "--fn", "FN", "--r", "nan"],
+    *[["verify", "--lemma", lemma, "--r", "nan", "--p", "2", "--q", "2", "--seed", "1",
+       "--trials", "2"]
+      for lemma in ("distribution", "rearrange", "operator-bound", "equicontinuity")],
+    ["witness", "--r", "nan", "--k", "3", "--p", "2", "--q", "2"],
+    ["approx", "--fn", "FN", "--epsilon", "nan", "--p", "2", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("form", ["line", "matrix"])
+@pytest.mark.parametrize("command", _NAN_COMMANDS, ids=lambda c: "-".join(c[:3]))
+def test_nan_radius_or_epsilon_exits_two(small_spaces, form, command):
+    space, fn = small_spaces[form]
+    argv = [fn if arg == "FN" else arg for arg in command]
+    code, err = _dispatch_quietly([argv[0], "--space", space, *argv[1:]])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["line", "matrix"])
+def test_overflowing_norm_exits_two(small_spaces, form):
+    """A huge q overflows a Python float power inside the norm."""
+    space, fn = small_spaces[form]
+    code, err = _dispatch_quietly(["norm", "--space", space, "--fn", fn, "--p", "1.5",
+                                   "--q", "1e308", "--variant", "double-star"])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--r", "--epsilon"])
+def test_probe_nan_exits_two(flag):
+    """probe draws its spaces from a lattice family, so only line spaces."""
+    argv = ["probe", "--family", "lattice:6", "--r", "1", "--epsilon", "0.3", "--p", "2",
+            "--q", "2", "--n", "3", "--seed", "1"]
+    argv[argv.index(flag) + 1] = "nan"
+    code, err = _dispatch_quietly(argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "0.5", "1",
+                            "1.5", "2", "3", "1e308"])
+_COUNTS = st.sampled_from(["nan", "inf", "0", "-1", "1", "2", "3"])
+# The numeric flags each command takes; the ones marked None are optional.
+_FLAGS = {
+    "avg": {"--r": _NUMBERS},
+    "norm": {"--p": _NUMBERS, "--q": _NUMBERS},
+    "witness": {"--r": _NUMBERS, "--k": _COUNTS, "--p": _NUMBERS, "--q": _NUMBERS},
+    "approx": {"--epsilon": _NUMBERS, "--p": _NUMBERS, "--q": _NUMBERS},
+    "probe": {"--r": _NUMBERS, "--epsilon": _NUMBERS, "--n": _COUNTS, "--p": _NUMBERS,
+              "--q": _NUMBERS},
+    "verify": {"--r": _NUMBERS, "--p": _NUMBERS, "--q": _NUMBERS, "--trials": _COUNTS},
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """(space form, argv): a command with its numeric flags drawn from edge
+    values, on a small space of either form.  Now and then a flag is
+    left out, which argparse rejects with exit 2."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    form = draw(st.sampled_from(["line", "matrix"]))
+    argv = [command]
+    if command == "probe":
+        argv += ["--family", "lattice:" + draw(st.sampled_from(["0", "1", "5", "2:8:3"])),
+                 "--seed", "2"]
+    else:
+        argv += ["--space", "SPACE"]
+    if command == "verify":
+        argv += ["--lemma", draw(st.sampled_from(["distribution", "rearrange",
+                                                  "operator-bound", "equicontinuity"])),
+                 "--seed", "1"]
+    if command in ("avg", "norm", "approx") or (command == "verify" and draw(st.booleans())):
+        argv += ["--fn", "FN"]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.integers(0, 19)):
+            argv += [flag, draw(values)]
+    if command != "avg" and draw(st.booleans()):
+        argv += ["--variant", "double-star"]
+    return form, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+def test_cli_fuzz_exits_zero_one_or_two(small_spaces, run_spec):
+    form, argv = run_spec
+    space, fn = small_spaces[form]
+    argv = [{"SPACE": space, "FN": fn}.get(arg, arg) for arg in argv]
+    code, err = _dispatch_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -21,7 +21,6 @@ from loravg import (
     symm_diff_measure,
     vitali_subfamily,
 )
-from loravg import averaging as averaging_mod
 from loravg import space as space_mod
 from loravg.compactness import _separated_count
 from conftest import matrix_cases, random_space
@@ -383,7 +382,7 @@ def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, bl
         kernel = AveragingKernel.build(sp, r)
         assert_measures(kernel.ball_measures)
         weighted = masks * weights
-        matrix = weighted / weighted.sum(axis=1)[:, None]
+        matrix = weighted / kernel.ball_measures[:, None]
         assert kernel.matrix.tobytes() == matrix.tobytes()
 
 
@@ -489,7 +488,7 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
     diameter = sp.diameter
     kernel = AveragingKernel.build(sp, r) if r > 0 else None
     band = data.draw(st.sampled_from([1, 3, 8, 40, 1 << 18]))  # rows per band 1..n
-    with mock.patch.object(averaging_mod, "_BAND_ENTRIES", band):
+    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", band):
         means = kernel.means(values) if kernel else None
         applied = (kernel.apply(FunctionOnSpace(sp, values)).values
                    if kernel and values.ndim == 1 else None)
@@ -506,7 +505,7 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
     assert np.all(np.abs(measures - want) <= _measure_rtol(n) * want)
     if kernel:
         matrix = (dist <= r) * sp.weights
-        matrix /= matrix.sum(axis=1)[:, None]
+        matrix /= kernel.ball_measures[:, None]
         assert kernel.matrix.tobytes() == matrix.tobytes()
         atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
         np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
@@ -522,7 +521,7 @@ def test_line_kernel_bands_match_matrix_on_long_runs(rng):
                                        weights=rng.uniform(0.2, 3.0, coords.size))
     values = rng.standard_normal((coords.size, 4))
     kernels = [AveragingKernel.build(sp, r) for r in (1e-9, 0.5, 10.0, 60.0, sp.diameter)]
-    lo, hi = kernels[-1].runs
+    lo, hi = sp.ball_runs(kernels[-1].r)
     assert np.all(hi - lo == sp.natoms)
     means = [(k.means(values), k.means(values[:, 0])) for k in kernels]
     assert "dist" not in vars(sp)
@@ -540,6 +539,20 @@ def test_overflowing_ball_measure_fails_on_both_space_forms():
         for space in (sp, matrix_space):
             with pytest.raises(RuntimeError, match="rows must sum to 1"):
                 AveragingKernel.build(space, 1.0)
+
+
+@pytest.mark.parametrize("form", ["line", "matrix"])
+def test_ball_measures_are_computed_once_per_radius(form):
+    sp = MetricMeasureSpace.lattice(6)
+    if form == "matrix":
+        sp = MetricMeasureSpace.from_matrix(sp.dist, sp.weights)
+    first = sp.ball_measures(1.0)
+    assert sp.ball_measures(1) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert np.array_equal(first, [2, 3, 3, 3, 3, 3, 2])
+    assert sp.ball_measures(2.0) is not first
 
 
 def test_weighted_lattice_stays_a_line_space(rng):
