@@ -434,9 +434,6 @@ def dispatch(argv: list[str]) -> int:
     except MemoryError as err:
         print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
-    except OverflowError:  # float ** float past DBL_MAX, e.g. from --q 1e308
-        print("error: a result overflows the floating-point range", file=sys.stderr)
-        return 2
     finally:
         print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return code

@@ -150,7 +150,7 @@ def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
         return float(np.max(t2 ** (inv_p - 1.0) * profile.node_values[1:]))
     e = q / p
     head = v[0] ** q * t2[0] ** e / e
-    tail = profile.total ** q * t2[-1] ** (e - q) / (q - e)
+    tail = np.float64(profile.total) ** q * t2[-1] ** (e - q) / (q - e)
     middle = np.sum(_double_star_pieces_gauss(t1[1:], t2[1:], a[1:], v[1:], p, q))
     return float(head + middle + tail) ** (1.0 / q)
 
@@ -158,13 +158,21 @@ def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
 def lorentz_norm(f: FunctionOnSpace, spec: NormSpec) -> float:
     """The (p, q) norm of f for the requested variant.
 
-    Raises NotInSpaceError for a nonzero f when q < p = inf.
+    Raises NotInSpaceError for a nonzero f when q < p = inf, and
+    DomainError when a power passes the floating-point range, so that no
+    inf or NaN is returned for the finite norm of a finite f.
     """
     if spec.trivial_space and np.any(f.values != 0):
         raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
-    if spec.variant == PLAIN:
-        return _plain_norm(rearrangement(f), spec.p, spec.q)
-    return _double_star_norm(maximal_profile(f), spec.p, spec.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.variant == PLAIN:
+            value = _plain_norm(rearrangement(f), spec.p, spec.q)
+        else:
+            value = _double_star_norm(maximal_profile(f), spec.p, spec.q)
+    if not math.isfinite(value):
+        raise DomainError(f"the ({spec.p:g}, {spec.q:g}) norm overflows the "
+                          "floating-point range")
+    return value
 
 
 def chi_norm_closed_form(measure_A: float, spec: NormSpec) -> float:

@@ -455,13 +455,16 @@ def test_nan_radius_or_epsilon_exits_two(small_spaces, form, command):
 
 
 @pytest.mark.parametrize("form", ["line", "matrix"])
-def test_overflowing_norm_exits_two(small_spaces, form):
-    """A huge q overflows a Python float power inside the norm."""
+@pytest.mark.parametrize("variant", ["plain", "double-star"])
+@pytest.mark.parametrize("p, q", [("1.5", "1e308"), ("1e308", "1e308")])
+def test_overflowing_norm_exits_two(small_spaces, form, variant, p, q):
+    """Huge indices overflow a power inside either norm variant, which
+    would give inf or NaN for the finite norm."""
     space, fn = small_spaces[form]
-    code, err = _dispatch_quietly(["norm", "--space", space, "--fn", fn, "--p", "1.5",
-                                   "--q", "1e308", "--variant", "double-star"])
+    code, err = _dispatch_quietly(["norm", "--space", space, "--fn", fn, "--p", p,
+                                   "--q", q, "--variant", variant])
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--r", "--epsilon"])
