@@ -49,7 +49,6 @@ from .rearrange import (
 )
 from .space import (
     BoundednessReport,
-    DoublingReport,
     MetricMeasureSpace,
     ball,
     boundedness_report,

@@ -13,7 +13,6 @@ tight constants entering the paper-style bounds:
 * the equicontinuity modulus of {A_r f : ||f|| <= 1} between two atoms.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lebesgue_norm, lorentz_norm
 from .rearrange import FunctionOnSpace, distribution_function, maximal_profile, rearrangement
-from .space import MetricMeasureSpace, doubling_constant, symm_diff_measure
+from .space import MetricMeasureSpace, ball, doubling_constant, symm_diff_measure
 
 
 def holds(lhs, rhs):
@@ -35,11 +34,11 @@ def holds(lhs, rhs):
 class AveragingKernel:
     """The averaging operator at radius r.
 
-    Row x of its row-stochastic `matrix` holds w_y / mu(B(x, r)) on
-    B(x, r) and 0 elsewhere, with mu the space's `ball_measures`, so
-    applying it to a value vector is exactly the ball averaging.  The
-    kernel reads its balls from `space.ball_blocks` a block at a time and
-    never needs that n x n matrix; `matrix` is formed only when read.
+    Row x of its row-stochastic kernel holds w_y / mu(B(x, r)) on B(x, r)
+    and 0 elsewhere, with mu the space's `ball_measures`, so applying it to
+    a value vector is exactly the ball averaging.  The kernel reads its
+    balls from `space.ball_blocks` a block at a time and never forms the
+    n x n kernel.
     """
 
     space: MetricMeasureSpace
@@ -56,17 +55,10 @@ class AveragingKernel:
             raise RuntimeError("averaging kernel rows must sum to 1")
         return cls(space=space, r=float(r), ball_measures=measures)
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        matrix = self.means(np.eye(self.space.natoms))
-        if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12):
-            raise RuntimeError("averaging kernel rows must sum to 1")
-        return matrix
-
     def means(self, values) -> np.ndarray:
         """A_r of an (n,) value array, or of each column of an (n, m) one:
-        per block of balls, the coefficients w_y / mu(B(x, r)) of `matrix`
-        times the values in one matrix product."""
+        per block of balls, the kernel coefficients w_y / mu(B(x, r)) times
+        the values in one matrix product."""
         values = np.asarray(values, dtype=float)
         weights, measures = self.space.weights, self.ball_measures
         out = np.empty(values.shape)
@@ -86,7 +78,7 @@ def average(space: MetricMeasureSpace, f: FunctionOnSpace, r: float) -> Function
 def pointwise_bound(space: MetricMeasureSpace, x: int, r: float,
                     spec: NormSpec) -> float:
     """alpha(B(x,r)) / mu(B(x,r)): bounds |A_r f(x)| for every unit-norm f."""
-    mass = float(space.weights[space.ball_mask(x, r)].sum())
+    _, mass = ball(space, x, r)
     return holder_constants(spec, mass).alpha / mass
 
 
@@ -101,10 +93,9 @@ def equicontinuity_modulus(space: MetricMeasureSpace, x: int, y: int, r: float,
     diagonal p = q where it is the dual norm of the kernel-row difference
     density; None otherwise.
     """
-    mu_x = float(space.weights[space.ball_mask(x, r)].sum())
-    mu_y = float(space.weights[space.ball_mask(y, r)].sum())
+    sd = symm_diff_measure(space, x, y, r)  # checks both atoms
+    mu_x, mu_y = map(float, space.ball_measures(r)[[x, y]])
     alpha_x = holder_constants(spec, mu_x).alpha
-    sd = symm_diff_measure(space, x, y, r)
     alpha_sd = holder_constants(spec, sd).alpha
     bound = abs(1.0 / mu_x - 1.0 / mu_y) * alpha_x + alpha_sd / mu_y
     exact = None
@@ -117,10 +108,8 @@ def equicontinuity_modulus(space: MetricMeasureSpace, x: int, y: int, r: float,
 def _kernel_difference_density(space: MetricMeasureSpace, x: int, y: int,
                                r: float) -> FunctionOnSpace:
     """Density g with A_r f(x) - A_r f(y) = integral of g f d(mu)."""
-    mask_x = space.ball_mask(x, r)
-    mask_y = space.ball_mask(y, r)
-    g = (mask_x / space.weights[mask_x].sum()
-         - mask_y / space.weights[mask_y].sum())
+    mu = space.ball_measures(r)
+    g = space.ball_mask(x, r) / mu[x] - space.ball_mask(y, r) / mu[y]
     return FunctionOnSpace(space, g)
 
 
@@ -146,7 +135,7 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
 def distribution_constant(space: MetricMeasureSpace, r: float):
     """(c, (g1, g2, g3)) with c = g1*g2*g3 + 1 from the tight doubling
     constants at scales r, 2r and 4r."""
-    g1, g2, g3 = (doubling_constant(space, s).gamma for s in (r, 2 * r, 4 * r))
+    g1, g2, g3 = (doubling_constant(space, s) for s in (r, 2 * r, 4 * r))
     return g1 * g2 * g3 + 1.0, (g1, g2, g3)
 
 

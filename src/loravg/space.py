@@ -15,8 +15,9 @@ matrix.  A line space (a cloud of dimension 1, or a lattice) keeps its
 coordinates and their sort order instead, and forms the matrix only when
 `dist` is first read.  There a ball is a run of consecutive atoms in
 coordinate order (`ball_runs`), so the layer needs O(n) memory and no
-n x n array.  Spaces are immutable, so the ball measures of each radius
-are computed once.
+n x n array.  Spaces are immutable, so each space keeps one memo per
+radius, read-only: the runs of a line space and the ball measures of
+either form are computed once, and every ball measure is read from it.
 """
 
 import functools
@@ -162,7 +163,7 @@ class MetricMeasureSpace:
         dist.setflags(write=False)
         self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
                              metric=None, metric_by_construction=metric_by_construction,
-                             _measures={})
+                             _measures={}, _runs={})
 
     @classmethod
     def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
@@ -176,7 +177,7 @@ class MetricMeasureSpace:
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
                               coords=coords, metric=metric, metric_by_construction=True,
-                              order=order, _sorted=coords[order], _measures={})
+                              order=order, _sorted=coords[order], _measures={}, _runs={})
         return space
 
     def __setattr__(self, name, value):
@@ -234,6 +235,7 @@ class MetricMeasureSpace:
     def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): on a line space, the ball of radius r around the atom
         at sorted position s is the run of sorted positions [lo[s], hi[s]).
+        Both are read-only and computed once per radius.
 
         Both ends are found by a vectorized bisection (binary lifting) on
         the exact predicate d(y, x) <= r, which holds on a run because d
@@ -242,6 +244,9 @@ class MetricMeasureSpace:
         _check_radius(r)
         if self.coords is None:
             raise DomainError("only a line space has its balls as runs")
+        r = float(r)
+        if r in self._runs:
+            return self._runs[r]
         c, n = self._sorted, self.natoms
 
         def reaches(probe):
@@ -257,6 +262,9 @@ class MetricMeasureSpace:
             hi += step * reaches(hi + step - 1)
             lo -= step * reaches(lo - step)
             step >>= 1
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        self._runs[r] = lo, hi
         return lo, hi
 
     def ball_blocks(self, r: float):
@@ -338,8 +346,8 @@ class MetricMeasureSpace:
         the result is exactly symmetric with a zero diagonal.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.ndim != 2:
-            raise DomainError("coords must be a 2-D array of points")
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise DomainError("coords must be a 2-D array of points with coordinates")
         if metric not in ("euclidean", "l1", "linf"):
             raise DomainError(f"unknown metric {metric!r}")
         if not np.all(np.isfinite(coords)):
@@ -347,21 +355,26 @@ class MetricMeasureSpace:
         n, d = coords.shape
         if weights is None:
             weights = np.ones(n)
-        if d == 1:
-            return cls._line(coords[:, 0], metric, weights)
-        dist = np.zeros((n, n))
-        term = np.empty((n, n))
-        magnitude = np.square if metric == "euclidean" else np.abs
-        combine = np.maximum if metric == "linf" else np.add
-        for k, col in enumerate(coords.T):
-            out = dist if k == 0 else term
-            np.subtract(col[:, None], col[None, :], out=out)
-            magnitude(out, out=out)
-            if k:
-                combine(dist, term, out=dist)
-        if metric == "euclidean":
-            np.sqrt(dist, out=dist)
-        return cls(dist, weights, metric_by_construction=True)
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite diameter
+            if d == 1:
+                space = cls._line(coords[:, 0], metric, weights)
+            else:
+                dist = np.zeros((n, n))
+                term = np.empty((n, n))
+                magnitude = np.square if metric == "euclidean" else np.abs
+                combine = np.maximum if metric == "linf" else np.add
+                for k, col in enumerate(coords.T):
+                    out = dist if k == 0 else term
+                    np.subtract(col[:, None], col[None, :], out=out)
+                    magnitude(out, out=out)
+                    if k:
+                        combine(dist, term, out=dist)
+                if metric == "euclidean":
+                    np.sqrt(dist, out=dist)
+                space = cls(dist, weights, metric_by_construction=True)
+            if not math.isfinite(space.diameter):
+                raise DomainError("the distances between the points overflow")
+        return space
 
     @classmethod
     def lattice(cls, L: int, weights=None):
@@ -377,16 +390,16 @@ class MetricMeasureSpace:
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
 
-        edges = list(edges)
-        if any(np.shape(e) != (3,) for e in edges):
+        edges = _floats(edges, "edges")
+        if edges.size and edges.shape[1:] != (3,):
             raise DomainError("edges must be (u, v, weight) triples")
-        u = np.array([e[0] for e in edges], dtype=int)
-        v = np.array([e[1] for e in edges], dtype=int)
-        w = np.array([e[2] for e in edges], dtype=float)
-        if np.any(w <= 0):
-            raise DomainError("edge weights must be positive")
-        if edges and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
-            raise DomainError("edge endpoint out of range")
+        edges = edges.reshape(-1, 3)
+        ends, w = edges[:, :2], edges[:, 2]
+        if not np.all((w > 0) & (w < np.inf)):
+            raise DomainError("edge weights must be positive and finite")
+        if not np.all((ends >= 0) & (ends < n) & (ends == np.floor(ends))):
+            raise DomainError("edge endpoints must be atom indices in 0..n-1")
+        u, v = ends.astype(int).T
         graph = coo_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
         dist = shortest_path(graph, method="D", directed=False)
         if not np.all(np.isfinite(dist)):
@@ -407,13 +420,23 @@ class MetricMeasureSpace:
         }
 
 
-def _field(spec: dict, key: str, convert=lambda raw: np.asarray(raw, dtype=float)):
-    """convert(spec[key]), by default a float array; DomainError if the
-    field does not convert."""
+_MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a MemoryError
+
+
+def _floats(raw, key: str) -> np.ndarray:
+    """raw, the space field key, as a float array; DomainError if it does not convert."""
     try:
-        return convert(spec[key])
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"space field {key!r} is not numeric")
+
+
+def _size_field(spec: dict, key: str) -> int:
+    """spec[key] as an int in 0.._MAX_SIZE: 3 or 3.0, but not 2.7, true or "3"."""
+    raw = spec[key]
+    if type(raw) not in (int, float) or not 0 <= raw <= _MAX_SIZE or raw != int(raw):
+        raise DomainError(f"space field {key!r} must be an integer in 0..{_MAX_SIZE}")
+    return int(raw)
 
 
 def build_space(spec: dict) -> MetricMeasureSpace:
@@ -427,11 +450,11 @@ def build_space(spec: dict) -> MetricMeasureSpace:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("space description must be an object with a 'kind'")
     kind = spec["kind"]
-    weights = None if spec.get("weights") is None else _field(spec, "weights")
+    weights = None if spec.get("weights") is None else _floats(spec["weights"], "weights")
     if kind == "matrix":
         if "dist" not in spec:
             raise DomainError("matrix space needs a 'dist' field")
-        dist = _field(spec, "dist")
+        dist = _floats(spec["dist"], "dist")
         if weights is None:
             weights = np.ones(dist.shape[0] if dist.ndim else 0)
         return MetricMeasureSpace.from_matrix(dist, weights)
@@ -439,46 +462,31 @@ def build_space(spec: dict) -> MetricMeasureSpace:
         if "coords" not in spec:
             raise DomainError("cloud space needs a 'coords' field")
         return MetricMeasureSpace.from_cloud(
-            _field(spec, "coords"), metric=spec.get("metric", "euclidean"),
+            _floats(spec["coords"], "coords"), metric=spec.get("metric", "euclidean"),
             weights=weights)
     if kind == "lattice":
         if "L" not in spec:
             raise DomainError("lattice space needs an 'L' field")
-        return MetricMeasureSpace.lattice(_field(spec, "L", int), weights=weights)
+        return MetricMeasureSpace.lattice(_size_field(spec, "L"), weights=weights)
     if kind == "graph":
         if "n" not in spec or "edges" not in spec:
             raise DomainError("graph space needs 'n' and 'edges' fields")
-        return MetricMeasureSpace.from_graph(_field(spec, "n", int), _field(spec, "edges"),
+        return MetricMeasureSpace.from_graph(_size_field(spec, "n"), spec["edges"],
                                              weights=weights)
     raise DomainError(f"unknown space kind {kind!r}")
 
 
 def ball(space: MetricMeasureSpace, x: int, r: float):
     """Closed ball B(x, r): (sorted atom indices, measure)."""
-    mask = space.ball_mask(x, r)
-    return np.flatnonzero(mask), float(space.weights[mask].sum())
+    return np.flatnonzero(space.ball_mask(x, r)), float(space.ball_measures(r)[x])
 
 
-@dataclass(frozen=True)
-class DoublingReport:
-    """Tight doubling data at one scale: gamma = sup_x mu(B(x,2s))/mu(B(x,s))."""
-
-    scale: float
-    gamma: float
-    ratios: np.ndarray
-    argmax_atom: int
-
-
-def doubling_constant(space: MetricMeasureSpace, s: float) -> DoublingReport:
-    """Tight s-doubling constant; finite spaces are always s-doubling."""
+def doubling_constant(space: MetricMeasureSpace, s: float) -> float:
+    """Tight s-doubling constant gamma = sup_x mu(B(x,2s))/mu(B(x,s));
+    finite spaces are always s-doubling."""
     if not s > 0:
         raise DomainError("doubling scale must be positive")
-    small = space.ball_measures(s)
-    big = space.ball_measures(2 * s)
-    ratios = big / small
-    argmax = int(np.argmax(ratios))
-    return DoublingReport(scale=float(s), gamma=float(ratios[argmax]),
-                          ratios=ratios, argmax_atom=argmax)
+    return float((space.ball_measures(2 * s) / space.ball_measures(s)).max())
 
 
 def greedy_scan(count: int, distances_to, threshold: float):
@@ -563,9 +571,9 @@ class BoundednessReport:
     total_measure: float
     min_ball_measure: float
     min_ball_ratio: float  # inf_x mu(B(x,r)) / mu(B(x,2r))
-    doubling_r: DoublingReport
-    doubling_2r: DoublingReport
-    doubling_4r: DoublingReport
+    doubling_r: float  # the tight doubling constants at scales r, 2r and 4r
+    doubling_2r: float
+    doubling_4r: float
 
 
 def min_ball_ratio(space: MetricMeasureSpace, r: float) -> float:

@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loravg
@@ -529,3 +530,106 @@ def test_cli_fuzz_exits_zero_one_or_two(small_spaces, run_spec):
     code, err = _dispatch_quietly(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+_SCALARS = st.sampled_from([0, 1, 2, 3, -1, 0.5, 2.7, 3.0, 1e308, -1e308, 1e-320, math.inf,
+                            -math.inf, math.nan, True, False, None, "x", 10 ** 30])
+# Sizes are tiny or so large that no allocation is ever attempted in earnest.
+_SIZES = st.one_of(st.integers(0, 5), st.sampled_from(
+    [-3, 2.7, 3.0, True, math.inf, -math.inf, math.nan, 1e12, 1e20, 10 ** 30, "3", None, [3]]))
+_ANY_NESTING = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+# True one time in ten, where st.integers would favour its bounds.
+_RARELY = st.sampled_from([False] * 9 + [True])
+
+
+def _array(draw, shape, entries):
+    """A nested list of the given shape, or now and then of any nesting."""
+    if draw(_RARELY):
+        return draw(_ANY_NESTING)
+    flat = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+
+    def nest(flat, shape):
+        size = math.prod(shape[1:])
+        return flat if len(shape) == 1 else [nest(flat[i * size:(i + 1) * size], shape[1:])
+                                             for i in range(shape[0])]
+    return nest(flat, shape)
+
+
+@st.composite
+def json_inputs(draw):
+    """(space JSON, function JSON) of every space kind, with fields that
+    can be huge, negative, non-integral, boolean, NaN/inf, empty, wrongly
+    nested or missing, and a value list as long as the space or not."""
+    n = draw(st.integers(0, 5))
+    entries = draw(st.sampled_from([st.sampled_from([0, 0.5, 1, 2.7]), _SCALARS]))
+    kind = "nope" if draw(_RARELY) else draw(st.sampled_from(["matrix", "cloud", "lattice",
+                                                               "graph"]))
+    space = {"kind": kind}
+    if kind == "matrix":
+        space["dist"] = (_array(draw, (n, n), entries) if draw(st.booleans())
+                         else [[abs(i - j) for j in range(n)] for i in range(n)])
+    elif kind == "cloud":
+        space["coords"] = _array(draw, (n, draw(st.integers(0, 3))), entries)
+        space["metric"] = draw(st.sampled_from(["euclidean", "l1", "linf", "l7", 5]))
+    elif kind == "lattice":
+        space["L"] = draw(st.one_of(st.just(n - 1), _SIZES))
+    elif kind == "graph":
+        space["n"] = draw(st.one_of(st.just(n), _SIZES))
+        space["edges"] = (_array(draw, (draw(st.integers(0, 4)), 3),
+                                 st.one_of(st.integers(-1, 5), entries))
+                          if draw(st.booleans()) else [[i, i + 1, 1.5] for i in range(n - 1)])
+    if draw(st.booleans()):
+        space["weights"] = _array(draw, (n,), entries)
+    if draw(_RARELY):
+        space.pop(draw(st.sampled_from(sorted(space))))
+    if draw(_RARELY):
+        space = [space]
+    values = _array(draw, (draw(st.sampled_from([n, n, n + 1])),), entries)
+    function = draw(st.sampled_from([{"values": values}] * 3 + [{"vals": values}, values]))
+    return space, function
+
+
+_JSON_COMMANDS = [
+    ["build-space"],
+    ["norm", "--fn", "FN", "--p", "2", "--q", "2"],
+    ["rearrange", "--fn", "FN"],
+    ["avg", "--fn", "FN", "--r", "1"],
+    ["verify", "--lemma", "distribution", "--fn", "FN", "--r", "1", "--p", "2", "--q", "2"],
+    ["verify", "--lemma", "equicontinuity", "--fn", "FN", "--r", "1", "--p", "2", "--q", "2"],
+    ["witness", "--r", "1", "--k", "3", "--p", "2", "--q", "2"],
+    ["approx", "--fn", "FN", "--epsilon", "0.5", "--p", "2", "--q", "3"],
+]
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_inputs(), st.sampled_from(_JSON_COMMANDS))
+@example(({"kind": "lattice", "L": math.inf}, {}), ["build-space"])
+@example(({"kind": "graph", "n": math.inf, "edges": []}, {}), ["build-space"])
+@example(({"kind": "graph", "n": 1e20, "edges": []}, {}), ["build-space"])
+@example(({"kind": "lattice", "L": 1e20}, {}), ["build-space"])
+@example(({"kind": "graph", "n": -3, "edges": []}, {}), ["build-space"])
+@example(({"kind": "lattice", "L": 2.7}, {}), ["build-space"])
+@example(({"kind": "lattice", "L": True}, {}), ["build-space"])
+@example(({"kind": "graph", "n": 2, "edges": [[0, 1.5, 1]]}, {}), ["build-space"])
+@example(({"kind": "cloud", "coords": []}, {}), ["build-space"])
+@example(({"kind": "cloud", "coords": [[]]}, {}), ["build-space"])
+@example(({"kind": "cloud", "coords": [[0, -1e308], [0, 1e308]]}, {"values": [1, 2]}),
+         ["avg", "--fn", "FN", "--r", "1"])
+@example(({"kind": "matrix", "dist": [[0]], "weights": [1e-320]}, {"values": [0]}),
+         _JSON_COMMANDS[-1])
+def test_cli_json_fuzz_exits_zero_one_or_two(json_dir, inputs, command):
+    """Whatever the space and function files hold, a run ends in 0, 1 or 2,
+    an exit 2 says why on an `error:` line, and nothing ends in a traceback."""
+    paths = {"SPACE": json_dir / "space.json", "FN": json_dir / "fn.json"}
+    for path, payload in zip(paths.values(), inputs):
+        path.write_text(json.dumps(payload))
+    argv = [command[0], "--space", "SPACE", *command[1:]]
+    code, err = _dispatch_quietly([str(paths.get(arg, arg)) for arg in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert code != 2 or err.startswith("error:")

@@ -153,7 +153,7 @@ def test_witness_norm_cap(rng):
                  NormSpec(2.5, 2, "double-star")):
         sp = MetricMeasureSpace.lattice(80)
         rep = witness_sequence(sp, 1.0, 6, spec)
-        gamma = doubling_constant(sp, 1.0).gamma
+        gamma = doubling_constant(sp, 1.0)
         lam = holder_constants(spec, 1.0).lam
         cap = lam * chi_norm_closed_form(1.0, spec) * gamma ** (1 / spec.p)
         for norm in rep.witness_norms:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -116,27 +117,26 @@ def brute_doubling(space, s):
 
 def test_doubling_lattice_values():
     sp = MetricMeasureSpace.lattice(100)
-    rep = doubling_constant(sp, 1.0)
-    assert rep.gamma == pytest.approx(5 / 3, rel=1e-14)
-    assert rep.gamma == pytest.approx(brute_doubling(sp, 1.0), rel=1e-14)
-    rep2 = doubling_constant(sp, 2.0)
-    assert rep2.gamma == pytest.approx(9 / 5, rel=1e-14)
-    assert rep2.gamma == pytest.approx(brute_doubling(sp, 2.0), rel=1e-14)
+    gamma = doubling_constant(sp, 1.0)
+    assert gamma == pytest.approx(5 / 3, rel=1e-14)
+    assert gamma == pytest.approx(brute_doubling(sp, 1.0), rel=1e-14)
+    gamma2 = doubling_constant(sp, 2.0)
+    assert gamma2 == pytest.approx(9 / 5, rel=1e-14)
+    assert gamma2 == pytest.approx(brute_doubling(sp, 2.0), rel=1e-14)
 
 
 def test_doubling_one_atom():
     sp = MetricMeasureSpace.from_matrix([[0.0]], [2.0])
-    assert doubling_constant(sp, 1.0).gamma == 1.0
+    assert doubling_constant(sp, 1.0) == 1.0
 
 
 def test_doubling_gamma_at_least_one(rng):
     for _ in range(15):
         sp = random_space(rng)
         s = float(rng.uniform(0.1, sp.diameter + 1))
-        rep = doubling_constant(sp, s)
-        assert rep.gamma >= 1.0
-        assert rep.gamma == pytest.approx(brute_doubling(sp, s), rel=1e-12)
-        assert rep.gamma == rep.ratios[rep.argmax_atom]
+        gamma = doubling_constant(sp, s)
+        assert type(gamma) is float and gamma >= 1.0
+        assert gamma == pytest.approx(brute_doubling(sp, s), rel=1e-12)
 
 
 def test_separated_points_examples():
@@ -238,7 +238,7 @@ def test_boundedness_report_values():
     one = boundedness_report(MetricMeasureSpace.from_matrix([[0.0]], [1.0]), 1.0)
     assert one.diameter == 0.0
     assert one.min_ball_ratio == 1.0
-    assert one.doubling_r.gamma == 1.0
+    assert one.doubling_r == 1.0
 
 
 def test_build_space_kinds():
@@ -271,6 +271,22 @@ def test_build_space_validates_every_json_matrix():
     {"kind": "cloud", "coords": [[0.0], ["a"]]},
     {"kind": "graph", "n": 2, "edges": [[0, 1, "w"]]},
     {"kind": "graph", "n": 3, "edges": [0, 1, 2]},
+    # sizes numpy cannot hold, and integer fields that would be truncated
+    {"kind": "lattice", "L": float("inf")},
+    {"kind": "lattice", "L": 1e20},
+    {"kind": "lattice", "L": 2.7},
+    {"kind": "lattice", "L": True},
+    {"kind": "lattice", "L": "3"},
+    {"kind": "graph", "n": float("inf"), "edges": []},
+    {"kind": "graph", "n": 1e20, "edges": []},
+    {"kind": "graph", "n": -3, "edges": []},
+    {"kind": "graph", "n": 2, "edges": [[0, 1.5, 1]]},
+    {"kind": "graph", "n": 2, "edges": [[0, float("nan"), 1]]},
+    {"kind": "graph", "n": 2, "edges": [[0, 1, float("inf")]]},
+    {"kind": "graph", "n": 2, "edges": 5},
+    # no point, or points without coordinates
+    {"kind": "cloud", "coords": []},
+    {"kind": "cloud", "coords": [[]]},
 ])
 def test_build_space_rejects_malformed_fields(spec):
     with pytest.raises(DomainError):
@@ -383,13 +399,21 @@ def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, bl
         assert_measures(kernel.ball_measures)
         weighted = masks * weights
         matrix = weighted / kernel.ball_measures[:, None]
-        assert kernel.matrix.tobytes() == matrix.tobytes()
+        assert kernel.means(np.eye(len(weights))).tobytes() == matrix.tobytes()
 
 
 def test_from_cloud_rejects_nonfinite_coords():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(DomainError):
             MetricMeasureSpace.from_cloud([[0.0], [bad]])
+    # finite coordinates whose distances overflow, on both space forms
+    for coords, metric in [([[-1e308], [1e308]], "l1"), ([[0.0], [1e155]], "euclidean"),
+                           ([[0.0, -1e308], [0.0, 1e308]], "linf"),
+                           ([[1e154, 1e154], [-1e154, -1e154]], "euclidean")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                MetricMeasureSpace.from_cloud(coords, metric=metric)
 
 
 def _reference_triangle_witness(dist):
@@ -506,11 +530,43 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
     if kernel:
         matrix = (dist <= r) * sp.weights
         matrix /= kernel.ball_measures[:, None]
-        assert kernel.matrix.tobytes() == matrix.tobytes()
+        assert kernel.means(np.eye(n)).tobytes() == matrix.tobytes()
         atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
         np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
         if values.ndim == 1:
             np.testing.assert_array_equal(applied, means)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrix_cases().map(lambda case: (case[0], case[1].values)),
+                 line_cases().map(lambda case: (case[0], case[2]))), st.data())
+def test_kernels_are_row_stochastic_on_both_space_forms(case, data):
+    """means(1) = 1, and means matches the dense kernel (dist <= r) * w / mu
+    built apart from it, at an attained distance or a radius past all."""
+    sp, values = case
+    dist = sp.dist
+    r = data.draw(st.sampled_from(sorted(set(dist[dist > 0].tolist()) | {1e300})))
+    kernel = AveragingKernel.build(sp, r)
+    np.testing.assert_allclose(kernel.means(np.ones(sp.natoms)), 1.0, rtol=0, atol=1e-12)
+    want = (dist <= r) * sp.weights / sp.ball_measures(r)[:, None] @ values
+    atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
+    np.testing.assert_allclose(kernel.means(values), want, rtol=0, atol=atol)
+
+
+def test_ball_runs_are_computed_once_per_radius():
+    """A repeat ball_runs call, ball_measures and every means call on a line
+    space read the same read-only runs; none repeats the binary lifting."""
+    sp = MetricMeasureSpace.lattice(20)
+    lo, hi = sp.ball_runs(2.0)
+    assert not lo.flags.writeable and not hi.flags.writeable
+    with mock.patch.object(space_mod, "_line_distance", side_effect=AssertionError):
+        again = sp.ball_runs(2)
+        kernel = AveragingKernel.build(sp, 2.0)
+        for _ in range(2):
+            kernel.means(np.ones(sp.natoms))
+    assert again[0] is lo and again[1] is hi
+    with pytest.raises(DomainError):
+        MetricMeasureSpace.from_matrix(sp.dist, sp.weights).ball_runs(2.0)
 
 
 def test_line_kernel_bands_match_matrix_on_long_runs(rng):
