@@ -241,18 +241,16 @@ def verify_operator_bound(space: MetricMeasureSpace, f: FunctionOnSpace, r: floa
                                passed=bool(holds(lhs, rhs)))
 
 
-def equicontinuity_bound_matrix(space: MetricMeasureSpace, r: float,
-                                spec: NormSpec) -> np.ndarray:
-    """bound(x, y) for all atom pairs at once (vectorized form of
-    equicontinuity_modulus's first component)."""
-    masks = space.ball_masks(r)
+def equicontinuity_bound_matrix(space: MetricMeasureSpace, r: float, spec: NormSpec,
+                                rows: slice = slice(None)) -> np.ndarray:
+    """bound(x, y) for the atoms x in the slice rows (all by default) and
+    every atom y: the vectorized form of equicontinuity_modulus's first
+    component, 0 exactly where B(x, r) and B(y, r) are the same atom set."""
     mu = space.ball_measures(r)
-    # mu(B(x,r) \ B(y,r)) summed without cancellation, so equal balls get 0
-    outside = (masks * space.weights) @ ~masks.T
-    sd = outside + outside.T
+    sd = space.symm_diff_measures(r, rows)
     lam = holder_constants(spec, 1.0).lam
     one_minus = 1.0 - 1.0 / spec.p
-    alpha_x = lam * mu ** one_minus
+    alpha_x = lam * mu[rows] ** one_minus
     alpha_sd = lam * sd ** one_minus
-    return (np.abs(1.0 / mu[:, None] - 1.0 / mu[None, :]) * alpha_x[:, None]
+    return (np.abs(1.0 / mu[rows, None] - 1.0 / mu[None, :]) * alpha_x[:, None]
             + alpha_sd / mu[None, :])

@@ -3,7 +3,10 @@
 Subcommands: build-space, norm, rearrange, avg, verify, witness, probe,
 approx.  Structured output is JSON (CSV for probe tables, SVG for plots)
 and is deterministic: no timestamps inside artifacts, wall time on
-stderr only, seeds mandatory for anything randomized.
+stderr only, seeds mandatory for anything randomized.  JSON is streamed:
+it has the bytes of json.dumps(obj, indent=2, sort_keys=True), but is
+written chunk by chunk, to stdout or, with --out, to a temporary file
+renamed into place, so no command holds the whole text in memory.
 
 Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
@@ -13,6 +16,7 @@ or input error, including an input too large for the memory at hand.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -40,21 +44,69 @@ def _load_json(path: str):
 
 
 def _digest(path: str) -> str:
+    sha = hashlib.sha256()
     with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            sha.update(block)
+    return "sha256:" + sha.hexdigest()
 
 
-def _emit(payload: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write an artifact, given as an iterable of str chunks, to the file
+    out or to the current sys.stdout."""
     if out:
-        svgplot.write_atomic(out, payload)
+        svgplot.write_atomic(out, chunks)
     else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
+
+
+# The C encoder: one call encodes a scalar, or a list of scalars as
+# "[a, b, c]", with the bytes json.dumps gives each of them.
+_encode = json.JSONEncoder().encode
+_SCALARS = frozenset((float, int, bool, type(None)))
+
+
+def _json_chunks(obj, indent: str = "\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), as chunks,
+    for obj whose dict keys are all str.
+
+    That call runs the pure-Python encoder and holds every piece of the
+    document at once.  Here a list of plain scalars (such as a row of a
+    distance matrix) is one chunk from one C-encoder call, with its ", "
+    separators, which no scalar contains, turned into the indented form.
+    indent is the newline and indentation at obj's own depth.
+    """
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif set(map(type, obj)) <= _SCALARS:
+            yield "[" + inner + _encode(obj)[1:-1].replace(", ", "," + inner) + indent + "]"
+        else:
+            yield "["
+            for i, item in enumerate(obj):
+                yield "," + inner if i else inner
+                yield from _json_chunks(item, inner)
+            yield indent + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        yield "{"
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield ("," + inner if i else inner) + _encode(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield indent + "}"
+    else:
+        yield _encode(obj)
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), out)
+    """Emit obj as canonical JSON (sorted keys, indent 2) and a newline,
+    streamed chunk by chunk."""
+    _emit(itertools.chain(_json_chunks(obj), ("\n",)), out)
 
 
 def _parse_exponent(raw: str) -> float:
@@ -196,24 +248,45 @@ def _verify_operator_bound(sp, fs, r, spec) -> tuple[list[dict], float, float]:
     return checks, worst, rep.constant_c
 
 
-def _verify_equicontinuity(sp, fs, r, spec) -> tuple[list[dict], float, float | None]:
-    bound = averaging.equicontinuity_bound_matrix(sp, r, spec)
-    # A zero bound means equal balls (the diagonal included), where
-    # A_r f(x) = A_r f(y) exactly; only the other pairs are compared.
+def _worst_pairs(sp, r, spec, rows, avgs) -> list[tuple[float, int, int, float]]:
+    """Per trial average in avgs, the pair (x, y) with x in the slice rows
+    of largest |A_r f(x) - A_r f(y)| / bound(x, y), as (ratio, x, y, bound),
+    the first in row-major order among equal ratios; [] if every bound in
+    rows is 0.  A zero bound means equal balls (the diagonal included),
+    where A_r f(x) = A_r f(y) exactly, so only the other pairs count."""
+    bound = averaging.equicontinuity_bound_matrix(sp, r, spec, rows)
     pairs = np.flatnonzero(bound > 0)
     if pairs.size == 0:
-        raise CLIError(f"every ball of radius {r:g} is the same atom set, so the "
-                       "modulus is identically 0")
-    kernel = averaging.AveragingKernel.build(sp, r)
-    worst, checks = 0.0, []
-    for i, f in enumerate(fs):
-        avg = kernel.apply(f).values
-        ratio = np.abs(avg[:, None] - avg[None, :]).flat[pairs] / bound.flat[pairs]
+        return []
+    worst = []
+    for avg in avgs:
+        ratio = np.abs(avg[rows, None] - avg[None, :]).flat[pairs] / bound.flat[pairs]
         j = int(np.argmax(ratio))
         x, y = divmod(int(pairs[j]), sp.natoms)
-        worst = max(worst, float(ratio[j]))
-        checks.append(_check(f"trial-{i}-pair-{x}-{y}",
-                             float(abs(avg[x] - avg[y])), float(bound[x, y]), {}))
+        worst.append((float(ratio[j]), rows.start + x, y, float(bound.flat[pairs[j]])))
+    return worst
+
+
+def _verify_equicontinuity(sp, fs, r, spec) -> tuple[list[dict], float, float | None]:
+    kernel = averaging.AveragingKernel.build(sp, r)
+    avgs = [kernel.apply(f).values for f in fs]
+    # The bound goes by row blocks; a later block's pair replaces an
+    # earlier one only with a larger ratio, as in one row-major argmax.
+    best = []
+    for rows in sp.pair_blocks():
+        block = _worst_pairs(sp, r, spec, rows, avgs)
+        if not best:
+            best = block
+        elif block:
+            best = [new if new[0] > old[0] else old for old, new in zip(best, block)]
+    if not best:
+        raise CLIError(f"every ball of radius {r:g} is the same atom set, so the "
+                       "modulus is identically 0")
+    worst, checks = 0.0, []
+    for i, (ratio, x, y, b) in enumerate(best):
+        worst = max(worst, ratio)
+        checks.append(_check(f"trial-{i}-pair-{x}-{y}", float(abs(avgs[i][x] - avgs[i][y])),
+                             b, {}))
     if spec.variant == norms.PLAIN and spec.p == spec.q:
         for x in range(sp.natoms - 1):
             b, exact = averaging.equicontinuity_modulus(sp, x, x + 1, r, spec)
@@ -306,7 +379,7 @@ def _cmd_probe(args) -> int:
     for row in rows:
         wmin = "" if row.witness_min is None else repr(row.witness_min)
         lines.append(f"{row.label},{row.k},{row.witness_count},{wmin},{row.c_lower!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     if args.svg:
         xs = [float(r.label) for r in rows]
         chart = svgplot.line_chart_svg(

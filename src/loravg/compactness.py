@@ -167,8 +167,6 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     chi_x_norm = lorentz_norm(FunctionOnSpace.indicator(space, np.ones(space.natoms, bool)), spec)
-    if chi_x_norm == 0.0:
-        raise DomainError("the norm of the indicator of the space underflows to 0")
     osc_cap = epsilon / (2.0 * chi_x_norm)
 
     def oscillation_radius(x: int) -> float:

@@ -86,13 +86,16 @@ def _power_integral(d: float, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
-    """Weighted p-norm; max |f| at p = inf."""
+    """Weighted p-norm; max |f| at p = inf.  Raises DomainError, as
+    `lorentz_norm` does, when a power passes the floating-point range."""
     if p < 1:
         raise DomainError("need p >= 1")
     av = np.abs(f.values)
     if math.isinf(p):
         return float(av.max())
-    return float(np.sum(f.space.weights * av ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        value = float(np.sum(f.space.weights * av ** p) ** (1.0 / p))
+    return _in_range(value, f, f"L^{p:g}")
 
 
 def _plain_norm(star: StepFunction, p: float, q: float) -> float:
@@ -160,7 +163,8 @@ def lorentz_norm(f: FunctionOnSpace, spec: NormSpec) -> float:
 
     Raises NotInSpaceError for a nonzero f when q < p = inf, and
     DomainError when a power passes the floating-point range, so that no
-    inf or NaN is returned for the finite norm of a finite f.
+    inf or NaN is returned for the finite norm of a finite f, and no 0 for
+    a nonzero f.
     """
     if spec.trivial_space and np.any(f.values != 0):
         raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
@@ -169,8 +173,20 @@ def lorentz_norm(f: FunctionOnSpace, spec: NormSpec) -> float:
             value = _plain_norm(rearrangement(f), spec.p, spec.q)
         else:
             value = _double_star_norm(maximal_profile(f), spec.p, spec.q)
-    if not math.isfinite(value):
-        raise DomainError(f"the ({spec.p:g}, {spec.q:g}) norm overflows the "
+    return _in_range(value, f, f"({spec.p:g}, {spec.q:g})")
+
+
+def _in_range(value: float, f: FunctionOnSpace, label: str) -> float:
+    """value, the computed label norm of f, unless a power inside it left
+    the floating-point range: 0 for a nonzero f is an underflow, inf an
+    overflow, and NaN an underflow times an overflow."""
+    if math.isnan(value):
+        raise DomainError(f"the {label} norm underflows and overflows the "
+                          "floating-point range in its powers")
+    if math.isinf(value):
+        raise DomainError(f"the {label} norm overflows the floating-point range")
+    if value == 0.0 and np.any(f.values != 0):
+        raise DomainError(f"the {label} norm of a nonzero function underflows the "
                           "floating-point range")
     return value
 

@@ -36,6 +36,10 @@ MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 # Entries per block of balls (see `ball_blocks`): 2 MB of float64.
 _BLOCK_ENTRIES = 1 << 18
 
+# Pairs (x, y) per row block of pair measures (see `pair_blocks`): 256 kB
+# of float64.
+_PAIR_BLOCK_ENTRIES = 1 << 15
+
 # Entries per row block of the triangle check: two float64 buffers that
 # stay in cache while every pivot passes over them.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 16
@@ -323,6 +327,61 @@ class MetricMeasureSpace:
         out.setflags(write=False)
         self._measures[r] = out
         return out
+
+    def pair_blocks(self) -> list[slice]:
+        """Consecutive slices of atoms covering all of them: the row blocks
+        in which `symm_diff_measures` sums.  A block holds about
+        _PAIR_BLOCK_ENTRIES pairs (x, y).  On a matrix space it holds at
+        least n^2 / 16, because each block also converts two n x n masks
+        to floats for its products."""
+        n = self.natoms
+        step = max(1, _PAIR_BLOCK_ENTRIES // n)
+        if self.coords is None:
+            step = max(step, -(-n // 16))
+        return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+    def symm_diff_measures(self, r: float, rows: slice = slice(None)) -> np.ndarray:
+        """mu(B(x, r) symm-diff B(y, r)) for the atoms x in the slice rows
+        and every atom y, as a (rows, n) array that is exactly 0 where the
+        two balls are the same atom set.
+
+        A matrix space sums mu(B(x) \\ B(y)) and mu(B(y) \\ B(x)) over the
+        atoms z as masked row products w_z [z in B(x)] [z not in B(y)],
+        without cancellation.  It forms whole `pair_blocks` and slices the
+        rows out of them, so a row's bits do not depend on which rows are
+        asked for.  On a line space both balls are runs (see `ball_runs`)
+        and so is each of the at most two pieces of their difference; a
+        piece is a difference of compensated prefix sums of the weights in
+        sorted order, which needs no n x n array.
+        """
+        _check_radius(r)
+        start, stop, _ = rows.indices(self.natoms)
+        if self.coords is None:
+            masks, weights = self.ball_masks(r), self.weights
+            blocks = [b for b in self.pair_blocks() if b.start < stop and b.stop > start]
+            out = np.concatenate([(masks[b] * weights) @ ~masks.T
+                                  + ((masks * weights) @ ~masks[b].T).T for b in blocks])
+            return out[start - blocks[0].start:stop - blocks[0].start]
+        lo, hi = self.ball_runs(r)
+        at = np.empty(self.natoms, dtype=np.intp)  # the sorted position of each atom
+        at[self.order] = np.arange(self.natoms)
+        lo, hi = lo[at], hi[at]
+        w = self.weights[self.order]
+        prefix = np.concatenate(([0.0], np.cumsum(w)))
+        # The rounding error of each running sum, exact by TwoSum and summed
+        # apart, so that a run keeps a small weight next to a large one.  The
+        # sums and errors are the real and imaginary parts of one array, so
+        # one gather reads both.
+        step = prefix[1:] - prefix[:-1]
+        lost = np.cumsum((prefix[:-1] - (prefix[1:] - step)) + (w - step))
+        prefix = prefix + 1j * np.concatenate(([0.0], lost))
+        # Runs [lo_x, hi_x) and [lo_y, hi_y) differ in [min lo, min(max lo, min hi))
+        # and [max(max lo, min hi), max hi), both empty for equal runs.
+        lx, hx = lo[start:stop, None], hi[start:stop, None]
+        inner_lo, inner_hi = np.maximum(lx, lo), np.minimum(hx, hi)
+        sd = ((prefix[np.minimum(inner_lo, inner_hi)] - prefix[np.minimum(lx, lo)])
+              + (prefix[np.maximum(hx, hi)] - prefix[np.maximum(inner_lo, inner_hi)]))
+        return sd.real + sd.imag
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:

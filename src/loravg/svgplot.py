@@ -97,13 +97,14 @@ def line_chart_svg(series: list[tuple[str, list[float], list[float]]],
     return "\n".join(parts) + "\n"
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+def write_atomic(path: str, content) -> None:
+    """Write content, a str or an iterable of str chunks, via a temp file
+    in the same directory plus rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(content)
+            handle.writelines([content] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

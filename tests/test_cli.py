@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loravg
-from loravg.cli import dispatch
+from loravg.cli import _emit_json, _verify_equicontinuity, dispatch
+from loravg.compactness import sample_unit_sphere
 
 
 @pytest.fixture
@@ -468,6 +470,26 @@ def test_overflowing_norm_exits_two(small_spaces, form, variant, p, q):
     assert err.startswith("error:") and "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space, values, command", [
+    ({"kind": "lattice", "L": 3}, [1e-200, 0, 0, 0], ["norm", "--p", "2", "--q", "2"]),
+    ({"kind": "lattice", "L": 3}, [1e-200, 0, 0, 0],
+     ["norm", "--p", "2", "--q", "3", "--variant", "double-star"]),
+    ({"kind": "matrix", "dist": [[0]], "weights": [1e-320]}, [1.0],
+     ["norm", "--p", "2", "--q", "3", "--variant", "double-star"]),
+    ({"kind": "matrix", "dist": [[0]], "weights": [1e-320]}, [1.0],
+     ["approx", "--epsilon", "0.5", "--p", "2", "--q", "3"]),
+])
+def test_underflowing_norm_exits_two(tmp_path, space, values, command):
+    """A nonzero function whose norm underflows is bad input, not a norm of 0."""
+    paths = {"space": tmp_path / "s.json", "fn": tmp_path / "f.json"}
+    paths["space"].write_text(json.dumps(space))
+    paths["fn"].write_text(json.dumps({"values": values}))
+    code, err = _dispatch_quietly([command[0], "--space", str(paths["space"]),
+                                   "--fn", str(paths["fn"]), *command[1:]])
+    assert code == 2
+    assert err.startswith("error:") and "underflows" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--r", "--epsilon"])
 def test_probe_nan_exits_two(flag):
     """probe draws its spaces from a lattice family, so only line spaces."""
@@ -633,3 +655,97 @@ def test_cli_json_fuzz_exits_zero_one_or_two(json_dir, inputs, command):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert code != 2 or err.startswith("error:")
+
+
+_JSON_TEXT = st.lists(st.one_of(st.sampled_from([", ", ",", "\n", '"', "\\", "é", "∞", "😀"]),
+                                st.characters()), max_size=4).map("".join)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16, 0.1, 1.0]),
+    _JSON_TEXT)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.lists(_JSON_SCALARS, max_size=5),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_streamed_json_is_byte_identical_to_json_dumps(tmp_path_factory, obj):
+    """The emitter writes exactly json.dumps(obj, indent=2, sort_keys=True)
+    and a newline, to stdout and to --out alike."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(obj, None)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    path = tmp_path_factory.mktemp("emit") / "out.json"
+    _emit_json(obj, str(path))
+    assert path.read_bytes() == out.getvalue().encode()
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory tracemalloc sees while fn(*args) runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_like_space(n=400):
+    """A validated matrix space of n points in a 10 x 10 square."""
+    coords = np.random.default_rng(5).uniform(0.0, 10.0, (n, 2))
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    dist = np.maximum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return loravg.build_space({"kind": "matrix", "dist": dist.tolist()})
+
+
+def test_emit_json_streams_in_bounded_memory(tmp_path):
+    """json.dumps with indent holds every piece of a 400 x 400 document
+    (16 MB traced); the streamed emitter holds about one row."""
+    payload = _sweep_like_space().to_json()
+    with open(tmp_path / "out.json", "w") as sink, contextlib.redirect_stdout(sink):
+        assert _traced_peak_mb(_emit_json, payload, None) < 1.0
+
+
+def test_equicontinuity_check_runs_in_bounded_memory():
+    """The bound in row blocks: 8 trials on 400 atoms stay under 3 MB
+    traced, where the n x n bound and its n x n x n product took 6.3 MB."""
+    sp = _sweep_like_space()
+    spec = loravg.NormSpec(2, 2)
+    fs = sample_unit_sphere(sp, spec, 8, 3)
+    sp.ball_measures(1.0)  # memoized on the space, like its distance matrix
+    assert _traced_peak_mb(_verify_equicontinuity, sp, fs, 1.0, spec) < 3.0
+
+
+def test_line_space_equicontinuity_fits_without_a_distance_matrix(tmp_path):
+    """On a 1-D cloud of 8,000 atoms the dense bound needs more than 1.5 GB;
+    in row blocks of run sums the check exits 0 under a 1 GiB cap."""
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(11)
+    n = 8000
+    space = tmp_path / "line.json"
+    space.write_text(json.dumps({"kind": "cloud", "metric": "l1",
+                                 "coords": rng.uniform(0, 2000, (n, 1)).tolist(),
+                                 "weights": rng.uniform(0.2, 3.0, n).tolist()}))
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma",
+                          "equicontinuity", "--space", str(space), "--r", "5", "--p", "3",
+                          "--q", "2", "--seed", "1", "--trials", "1"],
+                         capture_output=True, text=True, timeout=120, env=env,
+                         preexec_fn=cap_memory)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["pass"] is True and len(report["checks"]) == 1

@@ -418,3 +418,32 @@ def test_norm_equivalence_sandwich(rng):
     f = random_function(rng, random_space(rng))
     plain, ds = norm_equivalence_check(f, math.inf, math.inf)
     assert plain == pytest.approx(ds, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", [PLAIN, DOUBLE_STAR])
+def test_underflowing_norm_of_a_nonzero_function_raises(variant):
+    """A norm whose powers underflow is an error that names the underflow,
+    never 0 for a nonzero function; where no power underflows, the value
+    stands."""
+    spike = FunctionOnSpace(MetricMeasureSpace.lattice(3), [1e-200, 0, 0, 0])
+    for q in (2.0, 3.0):  # true values 1e-200 and 8.7e-201
+        with pytest.raises(DomainError, match="underflows"):
+            lorentz_norm(spike, NormSpec(2, q, variant))
+    assert lorentz_norm(spike, NormSpec(2, math.inf, variant)) == 1e-200
+    # The indicator of one atom of weight 1e-320: (1e-320)^{3/2} underflows.
+    chi = FunctionOnSpace(MetricMeasureSpace.from_matrix([[0.0]], [1e-320]), [1.0])
+    with pytest.raises(DomainError, match="underflows"):
+        lorentz_norm(chi, NormSpec(2, 3, variant))
+    zero = FunctionOnSpace(spike.space, np.zeros(4))
+    assert lorentz_norm(zero, NormSpec(2, 3, variant)) == 0.0
+
+
+def test_underflowing_lebesgue_norm_raises():
+    spike = FunctionOnSpace(MetricMeasureSpace.lattice(3), [1e-200, 0, 0, 0])
+    for p in (2.0, 3.0):
+        with pytest.raises(DomainError, match="underflows"):
+            lebesgue_norm(spike, p)
+    assert lebesgue_norm(spike, math.inf) == 1e-200
+    chi = FunctionOnSpace(MetricMeasureSpace.from_matrix([[0.0]], [1e-320]), [1.0])
+    assert lorentz_norm(chi, NormSpec(2, 2)) == lebesgue_norm(chi, 2) == pytest.approx(
+        chi_norm_closed_form(1e-320, NormSpec(2, 2)), rel=1e-4)  # a subnormal weight

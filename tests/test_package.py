@@ -16,6 +16,21 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
+def test_one_json_writer_in_package():
+    """Indented JSON comes only from the streaming emitter in cli.py:
+    json.dump(s) with indent runs the pure-Python encoder on the whole
+    document."""
+    offenders = []
+    for path in sorted(Path(loravg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None))
+                      in ("dump", "dumps")
+                      and any(kw.arg == "indent" for kw in node.keywords)]
+    assert offenders == []
+
+
 def test_bench_span_table_names_resolve():
     """Every name that bench/spans.py wraps by string still exists, so a
     rename or deletion in src/ fails here, not in `bench/run.py --trace 1`;

@@ -22,7 +22,10 @@ from loravg import (
     symm_diff_measure,
     vitali_subfamily,
 )
+from loravg import NormSpec
 from loravg import space as space_mod
+from loravg.averaging import equicontinuity_bound_matrix, holds
+from loravg.cli import CLIError, _verify_equicontinuity
 from loravg.compactness import _separated_count
 from conftest import matrix_cases, random_space
 
@@ -551,6 +554,80 @@ def test_kernels_are_row_stochastic_on_both_space_forms(case, data):
     want = (dist <= r) * sp.weights / sp.ball_measures(r)[:, None] @ values
     atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
     np.testing.assert_allclose(kernel.means(values), want, rtol=0, atol=atol)
+
+
+def _dense_equicontinuity_check(sp, fs, r, spec):
+    """The checks of `verify --lemma equicontinuity` from the full bound
+    matrix: per trial, the first pair in row-major order of largest ratio."""
+    bound = equicontinuity_bound_matrix(sp, r, spec)
+    pairs = np.flatnonzero(bound > 0)
+    if pairs.size == 0:
+        return None
+    checks = []
+    for f in fs:
+        avg = average(sp, f, r).values
+        ratio = np.abs(avg[:, None] - avg[None, :]).flat[pairs] / bound.flat[pairs]
+        x, y = divmod(int(pairs[int(np.argmax(ratio))]), sp.natoms)
+        checks.append((f"pair-{x}-{y}", float(abs(avg[x] - avg[y])), float(bound[x, y])))
+    return checks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrix_cases().map(lambda case: case[0]),
+                 line_cases().map(lambda case: case[0])), st.data())
+def test_blocked_equicontinuity_bound_matches_dense(sp, data):
+    """The bound in row blocks of any size equals the full matrix bitwise.
+    Its symmetric-difference measures agree with the dense masked sums
+    within 2 (n - 1) eps mu(X) and are exactly 0 on equal balls; the CLI
+    names the pairs and verdicts of the dense path."""
+    dist, n = sp.dist, sp.natoms
+    r = data.draw(st.sampled_from(sorted(set(dist[dist > 0].tolist()) | {1e300})))
+    spec = NormSpec(data.draw(st.sampled_from([1.5, 2.0, 3.0])),
+                    data.draw(st.sampled_from([1.0, 2.0, np.inf])))
+    masks = dist <= r
+    outside = (masks * sp.weights) @ ~masks.T
+    dense = outside + outside.T
+    # Blocks of `pair_blocks` as small as one row, asked for in slices of
+    # any length.
+    size = data.draw(st.integers(1, n))
+    with mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", data.draw(st.integers(1, 40))):
+        blocks = sp.pair_blocks()
+        full = equicontinuity_bound_matrix(sp, r, spec)
+        sd = sp.symm_diff_measures(r)
+        blocked = np.concatenate([equicontinuity_bound_matrix(sp, r, spec, slice(a, a + size))
+                                  for a in range(0, n, size)])
+        fs = [FunctionOnSpace(sp, data.draw(st.lists(st.floats(-10, 10), min_size=n,
+                                                     max_size=n)))
+              for _ in range(data.draw(st.integers(1, 3)))]
+        try:
+            checks = [(ch["name"].split("-", 2)[2], ch["lhs"], ch["rhs"], ch["pass"])
+                      for ch in _verify_equicontinuity(sp, fs, r, spec)[0]][:len(fs)]
+        except CLIError:
+            checks = None
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n
+    assert blocked.tobytes() == full.tobytes()
+    equal = (masks[:, None, :] == masks[None, :, :]).all(axis=2)
+    assert np.all((sd == 0) == equal) and np.all((full == 0) == equal)
+    assert np.all(np.abs(sd - dense) <= 2 * (n - 1) * np.finfo(float).eps * sp.total_measure)
+    want = _dense_equicontinuity_check(sp, fs, r, spec)
+    if want is None:
+        assert checks is None
+    else:
+        assert [c[:3] for c in checks] == want
+        assert [c[3] for c in checks] == [bool(holds(lhs, rhs)) for _, lhs, rhs in want]
+
+
+def test_line_symm_diff_keeps_small_weights_next_to_large_ones():
+    """Plain prefix sums absorb the unit weights into 1e20, which would give
+    the distinct balls {1} and {2} a symmetric difference of 0: a zero
+    equicontinuity bound, as if the balls were equal."""
+    sp = MetricMeasureSpace.from_cloud([[0.0], [1.0], [2.0]], metric="l1",
+                                       weights=[1e20, 1.0, 1.0])
+    masks = sp.dist <= 0.5
+    outside = (masks * sp.weights) @ ~masks.T
+    assert sp.symm_diff_measures(0.5).tobytes() == (outside + outside.T).tobytes()
+    assert sp.symm_diff_measures(0.5)[1, 2] == 2.0
 
 
 def test_ball_runs_are_computed_once_per_radius():
