@@ -35,6 +35,7 @@ from .norms import (
     holder_constants,
     lebesgue_norm,
     lorentz_norm,
+    lorentz_norms,
     norm_equivalence_check,
 )
 from .rearrange import (

@@ -11,18 +11,29 @@ that stay pairwise separated by at least
 so the number of pairwise-separated images, and with it any epsilon-net
 at epsilon < c_lower, grows without bound.  The probe tabulates both
 effects across a family of spaces.
+
+All norms go through the row kernel `norms.lorentz_norms`.  A greedy net
+measures one point against every kept point in one call.  The witness
+keeps each bump on B(x, 2r) and each image on its support, within
+B(x, 3r), as rows of (atom, value) entries; a pair's distance is the norm
+of the two images' entries, merged where both have an atom.  So neither
+needs an array of one value per atom for each witness.
 """
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .averaging import AveragingKernel
 from .errors import DomainError
-from .norms import NormSpec, holder_constants, lorentz_norm
+from .norms import NormSpec, holder_constants, lorentz_norm, lorentz_norms, row_blocks
 from .rearrange import FunctionOnSpace
 from .space import MetricMeasureSpace, greedy_scan, min_ball_ratio, separated_points
+
+# Entries of the dense (n, g) block of bumps that `witness_sequence`
+# averages at once: 128 kB of float64.
+_IMAGE_BLOCK_ENTRIES = 1 << 14
 
 
 def norm_distance(f: FunctionOnSpace, g: FunctionOnSpace, spec: NormSpec) -> float:
@@ -75,13 +86,17 @@ def covering_number(points: list[FunctionOnSpace], epsilon: float,
                     spec: NormSpec) -> CoveringReport:
     """Greedy sequential net: scan in order, keep a point iff it is more
     than epsilon away from every kept point.  The net size upper-bounds
-    the true epsilon-covering number of the sample."""
+    the true epsilon-covering number of the sample.  Each point is
+    measured against all kept points in one `lorentz_norms` call."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    for f in points[1:]:
+        points[0]._check_same_space(f)
+    values = np.array([f.values for f in points])
     net: list[int] = []
     max_residual = 0.0
-    scan = greedy_scan(len(points), lambda i, kept: [norm_distance(points[i], points[j], spec)
-                                                     for j in kept], epsilon)
+    scan = greedy_scan(len(points), lambda i, kept: lorentz_norms(
+        values[i] - values[kept], points[i].space.weights, spec), epsilon)
     for i, keep, nearest in scan:
         if keep:
             net.append(i)
@@ -92,15 +107,99 @@ def covering_number(points: list[FunctionOnSpace], epsilon: float,
 
 
 @dataclass(frozen=True)
+class SupportRows:
+    """Functions on a space kept on their supports: row i holds the atoms
+    atoms[i] and the values values[i] there.  Rows are padded to a common
+    length with the atom index n (one past the last atom) and value 0."""
+
+    space: MetricMeasureSpace
+    atoms: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def pack(cls, space: MetricMeasureSpace, atoms: list, values: list) -> "SupportRows":
+        width = max((a.size for a in atoms), default=0)
+        padded_atoms = np.full((len(atoms), width), space.natoms)
+        padded_values = np.zeros((len(atoms), width))
+        for i, (a, v) in enumerate(zip(atoms, values)):
+            padded_atoms[i, :a.size] = a
+            padded_values[i, :a.size] = v
+        return cls(space, padded_atoms, padded_values)
+
+    @functools.cached_property
+    def _padded_weights(self) -> np.ndarray:
+        return np.append(self.space.weights, 0.0)
+
+    def weights(self, atoms: np.ndarray) -> np.ndarray:
+        """The atom weights at atoms, and 0 at the padding index n."""
+        return self._padded_weights[atoms]
+
+    def norms(self, spec: NormSpec) -> np.ndarray:
+        return lorentz_norms(self.values, self.weights(self.atoms), spec)
+
+    def functions(self) -> list[FunctionOnSpace]:
+        """Every row as a function with one value per atom."""
+        out = []
+        for atoms, values in zip(self.atoms, self.values):
+            dense = np.zeros(self.space.natoms + 1)
+            dense[atoms] = values
+            out.append(FunctionOnSpace(self.space, dense[:-1]))
+        return out
+
+    def differences(self, first: np.ndarray, second: np.ndarray):
+        """(atoms, values) rows of row first[k] minus row second[k] on the
+        union of their supports, an atom of both merged into one entry.
+
+        The entries of each pair are sorted by atom, stably, so an atom of
+        both rows sits first in row first[k] and then in row second[k]; the
+        second value moves into the first entry and leaves a 0 behind.
+        """
+        atoms = np.concatenate((self.atoms[first], self.atoms[second]), axis=1)
+        values = np.concatenate((self.values[first], -self.values[second]), axis=1)
+        order = np.argsort(atoms, axis=1, kind="stable")
+        atoms = np.take_along_axis(atoms, order, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        both = atoms[:, 1:] == atoms[:, :-1]  # padding entries are all 0
+        values[:, :-1] += np.where(both, values[:, 1:], 0.0)
+        values[:, 1:][both] = 0.0
+        return atoms, values
+
+    def distances(self, spec: NormSpec) -> np.ndarray:
+        """The (m, m) spec-norm distances between the rows, taken over the
+        pairs i < j in `row_blocks` of their merged rows."""
+        m = self.atoms.shape[0]
+        firsts = np.arange(m - 1)
+        starts = firsts * (2 * m - firsts - 1) // 2  # of the pairs (i, j > i)
+        out = np.zeros((m, m))
+        for block in row_blocks(m * (m - 1) // 2, 2 * self.atoms.shape[1]):
+            pair = np.arange(block.start, block.stop)
+            i = np.searchsorted(starts, pair, side="right") - 1
+            j = pair - starts[i] + i + 1
+            atoms, values = self.differences(i, j)
+            out[i, j] = out[j, i] = lorentz_norms(values, self.weights(atoms), spec)
+        return out
+
+
+@dataclass(frozen=True)
 class WitnessReport:
     centers: list[int]
     bounded_regime: bool       # fewer than 2 centers with separation > 4r
     c_lower: float             # inf_x mu(B(x,r))/mu(B(x,2r))
-    functions: list[FunctionOnSpace]
-    images: list[FunctionOnSpace]
     distances: np.ndarray | None  # pairwise spec-norm distances of images
     min_pairwise: float | None
     witness_norms: list[float]
+    bumps: SupportRows | None = None   # the bumps on their balls B(x, 2r)
+    image_rows: SupportRows | None = None  # their averages on their supports
+
+    @functools.cached_property
+    def functions(self) -> list[FunctionOnSpace]:
+        """The bumps with one value per atom, formed on first read."""
+        return [] if self.bumps is None else self.bumps.functions()
+
+    @functools.cached_property
+    def images(self) -> list[FunctionOnSpace]:
+        """The averaged bumps with one value per atom, formed on first read."""
+        return [] if self.image_rows is None else self.image_rows.functions()
 
 
 def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
@@ -110,7 +209,11 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
 
     Their averaged images are pairwise at least c_lower apart in any
     admissible norm; with fewer than two such centers the space is in the
-    bounded regime and no witness exists.
+    bounded regime and no witness exists.  Each bump is kept on its ball
+    and each image on its support (see `SupportRows`).  The bumps are
+    averaged with `AveragingKernel.means` in dense (n, g) blocks of about
+    _IMAGE_BLOCK_ENTRIES entries, where one column holds the bumps of
+    several far-apart centers.
     """
     if not r > 0:
         raise DomainError("radius must be positive")
@@ -118,28 +221,45 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
     c_lower = min_ball_ratio(space, r)
     if len(centers) < 2:
         return WitnessReport(centers=centers, bounded_regime=True, c_lower=c_lower,
-                             functions=[], images=[], distances=None,
-                             min_pairwise=None, witness_norms=[])
+                             distances=None, min_pairwise=None, witness_norms=[])
     kernel = AveragingKernel.build(space, r)
-    functions = []
+    balls, levels = [], []
     for x in centers:
         mass = float(kernel.ball_measures[x])
-        alpha = holder_constants(spec, mass).alpha
-        bump = FunctionOnSpace.indicator(space, space.ball_mask(x, 2 * r))
-        functions.append(bump * (alpha / mass))
-    columns = kernel.means(np.stack([f.values for f in functions], axis=1))
-    images = [FunctionOnSpace(space, column) for column in columns.T]
-    m = len(images)
-    distances = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = norm_distance(images[i], images[j], spec)
-            distances[i, j] = distances[j, i] = d
-    min_pairwise = float(distances[np.triu_indices(m, k=1)].min())
-    witness_norms = [lorentz_norm(f, spec) for f in functions]
+        balls.append(np.flatnonzero(space.ball_mask(x, 2 * r)))
+        levels.append(holder_constants(spec, mass).alpha / mass)
+    # The image of a bump lies in B(x, 3r).  Bumps whose centers are more
+    # than 8r apart share a column, so their images lie in disjoint balls
+    # B(x, 4r), from which each is read back; on the line a few columns
+    # hold them all.
+    slots: list[int] = []
+    for i, x in enumerate(centers):
+        near = np.flatnonzero(space.distance_row(x, centers[:i]) <= 8 * r)
+        taken = {slots[j] for j in near}
+        slots.append(min(set(range(len(taken) + 1)) - taken))
+    image_atoms, image_values = [None] * len(centers), [None] * len(centers)
+    columns = max(slots) + 1
+    group = max(1, _IMAGE_BLOCK_ENTRIES // space.natoms)
+    for a in range(0, columns, group):
+        members = [i for i, slot in enumerate(slots) if a <= slot < a + group]
+        block = np.zeros((space.natoms, min(group, columns - a)))
+        for i in members:
+            block[balls[i], slots[i] - a] = levels[i]
+        block = kernel.means(block)
+        for i in members:
+            column = block[:, slots[i] - a]
+            image_atoms[i] = np.flatnonzero(space.ball_mask(centers[i], 4 * r) & (column != 0))
+            image_values[i] = column[image_atoms[i]]
+    bumps = SupportRows.pack(space, balls, levels)
+    images = SupportRows.pack(space, image_atoms, image_values)
+    distances = images.distances(spec)
+    np.fill_diagonal(distances, np.inf)
+    min_pairwise = float(distances.min())
+    np.fill_diagonal(distances, 0.0)
     return WitnessReport(centers=centers, bounded_regime=False, c_lower=c_lower,
-                         functions=functions, images=images, distances=distances,
-                         min_pairwise=min_pairwise, witness_norms=witness_norms)
+                         distances=distances, min_pairwise=min_pairwise,
+                         witness_norms=bumps.norms(spec).tolist(), bumps=bumps,
+                         image_rows=images)
 
 
 @dataclass(frozen=True)

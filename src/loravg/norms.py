@@ -5,34 +5,58 @@ Two variants are computed for indices p, q:
 * plain:       ( integral t^{q/p-1} f*(t)^q dt )^{1/q},   sup t^{1/p} f*(t)  at q = inf
 * double-star: same formulas with f** in place of f*
 
-The plain diagonal p = q is the Lebesgue p-norm.  Each variant is a few
-array expressions over the pieces of a profile.  f* is a step function,
-so the plain norm sums one array power integral, taken in an expm1 form
-that keeps short pieces far from 0 at full relative precision.  f** is
-F/t with F piecewise affine: on the first piece f** is constant and
-beyond the last breakpoint it is total/t, both power integrals in closed
-form; on every other piece f** = a/t + v with a, v > 0, and all of those
-go to a composite 12-point Gauss-Legendre rule in u = log t with panels
+The plain diagonal p = q is the Lebesgue p-norm.  One row kernel,
+`lorentz_norms`, computes either variant for every row of an array of
+(value, weight) entries: a function kept on a compressed support, or
+padded with entries of value and weight 0, is a row like any other, and
+`lorentz_norm` is its one-row wrapper.  Per row, one stable descending
+sort of |value| and the cumulative weights lay out f* as one piece per
+entry.  Entries of value 0 get weight 0, so they are pieces of zero width
+at the end of the row that add nothing, and the end of the last positive
+level is the end of the row.
+
+The plain norm sums one array power integral over the pieces, taken in an
+expm1 form that keeps short pieces far from 0 at full relative precision;
+tied values give adjacent pieces of one level, over which it is additive.
+f** is F/t with F piecewise affine, and each run of tied values is one
+affine piece.  On the first piece f** is constant and beyond the last
+positive level it is total/t, both power integrals in closed form; on
+every other piece f** = a/t + v with a, v > 0, and all of those go to a
+composite 12-point Gauss-Legendre rule in u = log t with panels
 at most 1 wide: the integrand is analytic in the strip |Im u| < pi, so
 the rule converges geometrically and its error sits far below rounding.
 At q = inf the supremum of t^{1/p} f*(t) or t^{1/p} f**(t) is taken at
-the breakpoints.
+the breakpoints.  Rows go through the kernel in blocks of at most about
+_ROW_BLOCK_ENTRIES entries (see `row_blocks`), so its temporaries stay
+small however many rows there are.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotInSpaceError
-from .rearrange import (FunctionOnSpace, MaximalProfile, StepFunction, maximal_profile,
-                        rearrangement)
+from .rearrange import FunctionOnSpace
 
 PLAIN = "plain"
 DOUBLE_STAR = "double-star"
 
-_GAUSS_POINTS = 12
+# Nodes and weights of the 12-point Gauss-Legendre rule on [-1, 1], bitwise
+# numpy.polynomial.legendre.leggauss(12), written out so that no process
+# imports numpy.polynomial for them.
+_GAUSS_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GAUSS_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+
+# Entries per row block of the norm kernel (see `row_blocks`): 16 kB per
+# float64 temporary.
+_ROW_BLOCK_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -95,23 +119,34 @@ def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
         return float(av.max())
     with np.errstate(over="ignore"):
         value = float(np.sum(f.space.weights * av ** p) ** (1.0 / p))
-    return _in_range(value, f, f"L^{p:g}")
+    return _in_range(value, np.any(f.values != 0), f"L^{p:g}")
 
 
-def _plain_norm(star: StepFunction, p: float, q: float) -> float:
-    t = star.breakpoints
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering rows 0..rows-1, each holding at most
+    _ROW_BLOCK_ENTRIES entries of a row of length width, and at least one
+    row: the blocks in which `lorentz_norms` works."""
+    step = max(1, _ROW_BLOCK_ENTRIES // max(width, 1))
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def _cumulative(widths: np.ndarray) -> np.ndarray:
+    """(m, s + 1) cumulative sums of the rows, each starting at 0."""
+    out = np.zeros((widths.shape[0], widths.shape[1] + 1))
+    np.cumsum(widths, axis=1, out=out[:, 1:])
+    return out
+
+
+def _plain_norm(levels: np.ndarray, weights: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Plain norm of each row of f* = levels, nonincreasing, on pieces of
+    the given widths."""
+    t = _cumulative(weights)
     if math.isinf(q):
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        return float(np.max(star.levels * t[1:] ** inv_p, initial=0.0))
-    acc = np.sum(star.levels ** q * _power_integral(q / p, t[:-1], t[1:]))
-    return float(acc) ** (1.0 / q)
-
-
-@functools.cache
-def _gauss_legendre():
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], built on
-    first use so that processes which never need them do not pay for them."""
-    return np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+        return np.max(levels * t[:, 1:] ** inv_p, axis=1, initial=0.0)
+    pieces = levels ** q * _power_integral(q / p, t[:, :-1], t[:, 1:])
+    # Pieces of zero width add nothing; at t = 0 the power integral is NaN.
+    return np.sum(np.where(weights > 0, pieces, 0.0), axis=1) ** (1.0 / q)
 
 
 def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
@@ -125,24 +160,45 @@ def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
     Measuring s from t1 keeps the nodes of short pieces at full relative
     precision.
     """
-    nodes, weights = _gauss_legendre()
     length = np.log1p((t2 - t1) / t1)
     panels = np.ceil(length).astype(int)
     piece = np.repeat(np.arange(t1.size), panels)
     width = (length / panels)[piece]
     first = np.repeat(np.cumsum(panels) - panels, panels)
     s = (np.arange(piece.size) - first)[:, None] * width[:, None] \
-        + (width / 2.0)[:, None] * (nodes + 1.0)
+        + (width / 2.0)[:, None] * (_GAUSS_NODES + 1.0)
     e = q / p
     values = np.exp(e * s) * ((a / t1)[piece, None] * np.exp(-s) + v[piece, None]) ** q
-    sums = np.bincount(piece, weights=(values @ weights) * width / 2.0, minlength=t1.size)
+    # A row sum rather than a BLAS product, so that a piece's bits do not
+    # depend on the other pieces.
+    sums = np.bincount(piece, weights=np.sum(values * _GAUSS_WEIGHTS, axis=1) * width / 2.0,
+                       minlength=t1.size)
     return t1 ** e * sums
 
 
-def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
-    if profile.total == 0.0:
-        return 0.0
-    t1, t2, a, v = profile.pieces()
+def _runs(levels: np.ndarray):
+    """(first, last) for rows of nonincreasing levels: the index at which
+    the run of equal levels of each entry starts, and whether the entry is
+    the last of a run of positive level.  With breakpoints t, the pieces
+    [t[first], t[k + 1]] of the last entries k are the affine pieces of F,
+    one per distinct positive level."""
+    starts = np.ones(levels.shape, dtype=bool)
+    np.not_equal(levels[:, 1:], levels[:, :-1], out=starts[:, 1:])
+    first = np.maximum.accumulate(np.where(starts, np.arange(levels.shape[1]), 0), axis=1)
+    last = levels > 0
+    last[:, :-1] &= starts[:, 1:]
+    return first, last
+
+
+def _double_star_norm(levels: np.ndarray, weights: np.ndarray, p: float,
+                      q: float) -> np.ndarray:
+    """Double-star norm of each row of f* = levels, nonincreasing, on
+    pieces of the given widths; 0 for a row whose integral F is 0."""
+    t = _cumulative(weights)
+    nodes = _cumulative(levels * weights)  # F at the breakpoints
+    first, last = _runs(levels)
+    row = np.arange(levels.shape[0])[:, None]
+    t2, total = t[:, 1:], nodes[:, -1]
     if math.isinf(q):
         # On a piece with a, v > 0, g(t) = t^{1/p-1} (a + v t) has
         # g'(t) = t^{1/p-2} ((1/p - 1) a + v t / p), negative and then
@@ -150,45 +206,77 @@ def _double_star_norm(profile: MaximalProfile, p: float, q: float) -> float:
         # g rises on the first piece (a = 0) and falls beyond the last
         # breakpoint, so the supremum sits at a breakpoint.
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        return float(np.max(t2 ** (inv_p - 1.0) * profile.node_values[1:]))
+        return np.max(np.where(last, t2 ** (inv_p - 1.0) * nodes[:, 1:], 0.0), axis=1,
+                      initial=0.0)
     e = q / p
-    head = v[0] ** q * t2[0] ** e / e
-    tail = np.float64(profile.total) ** q * t2[-1] ** (e - q) / (q - e)
-    middle = np.sum(_double_star_pieces_gauss(t1[1:], t2[1:], a[1:], v[1:], p, q))
-    return float(head + middle + tail) ** (1.0 / q)
+    pieces = np.zeros(levels.shape)
+    head = last & (first == 0)  # f** is the first level on the first piece
+    pieces[head] = levels[head] ** q * t2[head] ** e / e
+    inner = last & (first > 0)  # f** = a/t + v on the others, with F = a + v t
+    t1 = t[row, first][inner]
+    v = levels[inner]
+    a = nodes[row, first][inner] - v * t1
+    pieces[inner] = _double_star_pieces_gauss(t1, t2[inner], a, v, p, q)
+    tail = total ** q * t[:, -1] ** (e - q) / (q - e)  # F = total beyond the last piece
+    norms = (np.sum(pieces, axis=1) + tail) ** (1.0 / q)
+    return np.where(total > 0, norms, 0.0)
+
+
+def lorentz_norms(values, weights, spec: NormSpec) -> np.ndarray:
+    """The spec-norm of each row of an (m, s) array of values: a row is a
+    function on the atoms of its entries, whose weights are the (s,) array
+    weights for every row alike or the row of an (m, s) one.
+
+    Weights are positive, or 0 on padding entries of value 0.  Per row,
+    |values| is sorted once in descending order, stably, and the entries of
+    value 0 get weight 0, so they add nothing.  Rows go in `row_blocks`,
+    and a row's norm does not depend on the rows that come with it.
+    Raises NotInSpaceError for a nonzero row when q < p = inf, and
+    DomainError when a power passes the floating-point range, so that no
+    inf or NaN is returned for the finite norm of a finite row, and no 0
+    for a nonzero one.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    nonzero = np.any(values != 0, axis=1)
+    if spec.trivial_space and nonzero.any():
+        raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
+    norm = _plain_norm if spec.variant == PLAIN else _double_star_norm
+    out = np.empty(values.shape[0])
+    # 0 ** -d in the rows of the zero function gives inf, and 0 * inf NaN;
+    # those rows are set to 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rows in row_blocks(*values.shape):
+            levels = np.abs(values[rows])
+            order = np.argsort(-levels, axis=1, kind="stable")
+            sort = np.arange(order.shape[0])[:, None], order
+            levels = levels[sort]
+            widths = weights[order] if weights.ndim == 1 else weights[rows][sort]
+            widths[levels == 0] = 0.0
+            out[rows] = norm(levels, widths, spec.p, spec.q)
+    return _in_range(out, nonzero, f"({spec.p:g}, {spec.q:g})")
 
 
 def lorentz_norm(f: FunctionOnSpace, spec: NormSpec) -> float:
-    """The (p, q) norm of f for the requested variant.
-
-    Raises NotInSpaceError for a nonzero f when q < p = inf, and
-    DomainError when a power passes the floating-point range, so that no
-    inf or NaN is returned for the finite norm of a finite f, and no 0 for
-    a nonzero f.
-    """
-    if spec.trivial_space and np.any(f.values != 0):
-        raise NotInSpaceError("L^{inf,q} with q < inf contains only 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.variant == PLAIN:
-            value = _plain_norm(rearrangement(f), spec.p, spec.q)
-        else:
-            value = _double_star_norm(maximal_profile(f), spec.p, spec.q)
-    return _in_range(value, f, f"({spec.p:g}, {spec.q:g})")
+    """The (p, q) norm of f for the requested variant: `lorentz_norms` of
+    the one row f.values with the atom weights."""
+    return float(lorentz_norms(f.values[None, :], f.space.weights, spec)[0])
 
 
-def _in_range(value: float, f: FunctionOnSpace, label: str) -> float:
-    """value, the computed label norm of f, unless a power inside it left
-    the floating-point range: 0 for a nonzero f is an underflow, inf an
+def _in_range(norms, nonzero, label: str):
+    """norms, the computed label norms of functions that are nonzero where
+    nonzero holds, unless a power inside one of them left the
+    floating-point range: 0 for a nonzero function is an underflow, inf an
     overflow, and NaN an underflow times an overflow."""
-    if math.isnan(value):
-        raise DomainError(f"the {label} norm underflows and overflows the "
-                          "floating-point range in its powers")
-    if math.isinf(value):
+    if not np.all(np.isfinite(norms)):
+        if np.any(np.isnan(norms)):
+            raise DomainError(f"the {label} norm underflows and overflows the "
+                              "floating-point range in its powers")
         raise DomainError(f"the {label} norm overflows the floating-point range")
-    if value == 0.0 and np.any(f.values != 0):
+    if np.any((norms == 0.0) & nonzero):
         raise DomainError(f"the {label} norm of a nonzero function underflows the "
                           "floating-point range")
-    return value
+    return norms
 
 
 def chi_norm_closed_form(measure_A: float, spec: NormSpec) -> float:

@@ -16,8 +16,10 @@ coordinates and their sort order instead, and forms the matrix only when
 `dist` is first read.  There a ball is a run of consecutive atoms in
 coordinate order (`ball_runs`), so the layer needs O(n) memory and no
 n x n array.  Spaces are immutable, so each space keeps one memo per
-radius, read-only: the runs of a line space and the ball measures of
-either form are computed once, and every ball measure is read from it.
+radius, read-only: the runs of a line space (by sorted position and by
+atom) and the ball measures of either form are computed once, and every
+ball measure is read from it.  The compensated prefix sums of a line
+space's weights do not depend on the radius and are computed once.
 """
 
 import functools
@@ -167,7 +169,7 @@ class MetricMeasureSpace:
         dist.setflags(write=False)
         self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
                              metric=None, metric_by_construction=metric_by_construction,
-                             _measures={}, _runs={})
+                             _measures={}, _runs={}, _atom_run_memo={})
 
     @classmethod
     def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
@@ -181,7 +183,8 @@ class MetricMeasureSpace:
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
                               coords=coords, metric=metric, metric_by_construction=True,
-                              order=order, _sorted=coords[order], _measures={}, _runs={})
+                              order=order, _sorted=coords[order], _measures={}, _runs={},
+                              _atom_run_memo={})
         return space
 
     def __setattr__(self, name, value):
@@ -362,19 +365,8 @@ class MetricMeasureSpace:
             out = np.concatenate([(masks[b] * weights) @ ~masks.T
                                   + ((masks * weights) @ ~masks[b].T).T for b in blocks])
             return out[start - blocks[0].start:stop - blocks[0].start]
-        lo, hi = self.ball_runs(r)
-        at = np.empty(self.natoms, dtype=np.intp)  # the sorted position of each atom
-        at[self.order] = np.arange(self.natoms)
-        lo, hi = lo[at], hi[at]
-        w = self.weights[self.order]
-        prefix = np.concatenate(([0.0], np.cumsum(w)))
-        # The rounding error of each running sum, exact by TwoSum and summed
-        # apart, so that a run keeps a small weight next to a large one.  The
-        # sums and errors are the real and imaginary parts of one array, so
-        # one gather reads both.
-        step = prefix[1:] - prefix[:-1]
-        lost = np.cumsum((prefix[:-1] - (prefix[1:] - step)) + (w - step))
-        prefix = prefix + 1j * np.concatenate(([0.0], lost))
+        lo, hi = self._atom_runs(r)
+        prefix = self._weight_prefix
         # Runs [lo_x, hi_x) and [lo_y, hi_y) differ in [min lo, min(max lo, min hi))
         # and [max(max lo, min hi), max hi), both empty for equal runs.
         lx, hx = lo[start:stop, None], hi[start:stop, None]
@@ -382,6 +374,35 @@ class MetricMeasureSpace:
         sd = ((prefix[np.minimum(inner_lo, inner_hi)] - prefix[np.minimum(lx, lo)])
               + (prefix[np.maximum(hx, hi)] - prefix[np.maximum(inner_lo, inner_hi)]))
         return sd.real + sd.imag
+
+    def _atom_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """`ball_runs` indexed by atom instead of sorted position: B(x, r) is
+        the run of sorted positions [lo[x], hi[x]).  Read-only and computed
+        once per radius."""
+        r = float(r)
+        if r not in self._atom_run_memo:
+            runs = []
+            for run in self.ball_runs(r):
+                by_atom = np.empty_like(run)
+                by_atom[self.order] = run
+                by_atom.setflags(write=False)
+                runs.append(by_atom)
+            self._atom_run_memo[r] = tuple(runs)
+        return self._atom_run_memo[r]
+
+    @functools.cached_property
+    def _weight_prefix(self) -> np.ndarray:
+        """Compensated prefix sums of the weights in sorted order, as the real
+        parts, with the rounding error of each running sum, exact by TwoSum
+        and summed apart, as the imaginary parts: a run keeps a small weight
+        next to a large one, and one gather reads both parts.  Read-only."""
+        w = self.weights[self.order]
+        prefix = np.concatenate(([0.0], np.cumsum(w)))
+        step = prefix[1:] - prefix[:-1]
+        lost = np.cumsum((prefix[:-1] - (prefix[1:] - step)) + (w - step))
+        prefix = prefix + 1j * np.concatenate(([0.0], lost))
+        prefix.setflags(write=False)
+        return prefix
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:

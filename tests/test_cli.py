@@ -69,7 +69,7 @@ for argv in (["norm", "--fn", fn, "--variant", "double-star", "--space", space,
              ["witness", "--r", "0.5", "--k", "4"] + common):
     if main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-heavy = ("scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph")
+heavy = ("scipy.integrate", "scipy.spatial", "scipy.sparse.csgraph", "numpy.polynomial")
 print(json.dumps(sorted(m for m in heavy if m in sys.modules)), file=sys.stderr)
 """
 
@@ -722,6 +722,20 @@ def test_equicontinuity_check_runs_in_bounded_memory():
     fs = sample_unit_sphere(sp, spec, 8, 3)
     sp.ball_measures(1.0)  # memoized on the space, like its distance matrix
     assert _traced_peak_mb(_verify_equicontinuity, sp, fs, 1.0, spec) < 3.0
+
+
+def test_witness_sequence_at_scale_runs_in_bounded_memory():
+    """500 witnesses on lattice(20000) at r = 1 stay under 10 MB traced:
+    bumps and images are kept on their supports, where dense bumps, images
+    and their differences would hold 4 x 500 x 20,001 floats (320 MB)."""
+    sp = loravg.MetricMeasureSpace.lattice(20000)
+    spec = loravg.NormSpec(2, 2)
+    reports = []
+    peak = _traced_peak_mb(lambda: reports.append(loravg.witness_sequence(sp, 1.0, 500, spec)))
+    rep, = reports
+    assert len(rep.centers) == 500 and rep.distances.shape == (500, 500)
+    assert rep.min_pairwise >= rep.c_lower
+    assert peak < 10.0
 
 
 def test_line_space_equicontinuity_fits_without_a_distance_matrix(tmp_path):

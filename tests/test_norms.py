@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from loravg import (
@@ -21,8 +23,11 @@ from loravg import (
     norm_equivalence_check,
     rearrangement,
 )
-from loravg.norms import _double_star_pieces_gauss, _power_integral
-from conftest import random_function, random_space
+from loravg.compactness import SupportRows
+from loravg.norms import (_GAUSS_NODES, _GAUSS_WEIGHTS, _double_star_pieces_gauss,
+                          _power_integral, lorentz_norms)
+from conftest import matrix_cases, random_function, random_space
+from test_space import line_cases
 
 PS = [1.5, 2.0, 3.0, 10.0]
 QS = [1.0, 2.0, 3.0, 3.5, math.inf]
@@ -447,3 +452,75 @@ def test_underflowing_lebesgue_norm_raises():
     chi = FunctionOnSpace(MetricMeasureSpace.from_matrix([[0.0]], [1e-320]), [1.0])
     assert lorentz_norm(chi, NormSpec(2, 2)) == lebesgue_norm(chi, 2) == pytest.approx(
         chi_norm_closed_form(1e-320, NormSpec(2, 2)), rel=1e-4)  # a subnormal weight
+
+
+def test_gauss_legendre_table_is_leggauss_12():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert _GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def profile_norm(f, spec):
+    """The norm by the per-function formulas that the row kernel replaced:
+    the pieces of f* from `rearrangement` and of f** from
+    `maximal_profile`, one per distinct level, with no range checks."""
+    p, q = spec.p, spec.q
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    if spec.variant == PLAIN:
+        star = rearrangement(f)
+        t = star.breakpoints
+        if math.isinf(q):
+            return float(np.max(star.levels * t[1:] ** inv_p, initial=0.0))
+        acc = np.sum(star.levels ** q * _power_integral(q / p, t[:-1], t[1:]))
+        return float(acc) ** (1.0 / q)
+    profile = maximal_profile(f)
+    if profile.total == 0.0:
+        return 0.0
+    t1, t2, a, v = profile.pieces()
+    if math.isinf(q):
+        return float(np.max(t2 ** (inv_p - 1.0) * profile.node_values[1:]))
+    e = q / p
+    head = v[0] ** q * t2[0] ** e / e
+    tail = np.float64(profile.total) ** q * t2[-1] ** (e - q) / (q - e)
+    middle = np.sum(_double_star_pieces_gauss(t1[1:], t2[1:], a[1:], v[1:], p, q))
+    return float(head + middle + tail) ** (1.0 / q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrix_cases().map(lambda case: (case[0], case[1].values[:, None])),
+                 line_cases().map(lambda case: (case[0], case[2].reshape(case[0].natoms, -1)))),
+       st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+       st.sampled_from([PLAIN, DOUBLE_STAR]), st.data())
+def test_row_kernel_matches_the_profile_formulas(case, p, q, variant, data):
+    """Rows with zero and tied values, given whole, on their supports in any
+    order with zero-weight padding, and as differences of two such rows
+    whose supports overlap, agree with the profile formulas within 2e-15
+    relative."""
+    sp, columns = case
+    n, spec = sp.natoms, NormSpec(p, q, variant)
+    rows = np.vstack([np.round(columns.T, 6), np.round(columns.T), np.zeros((1, n))])
+    want = np.array([profile_norm(FunctionOnSpace(sp, row), spec) for row in rows])
+    tol = 2e-15 * want
+    whole = lorentz_norms(rows, sp.weights, spec)
+    assert np.all(np.abs(whole - want) <= tol)
+    # a row's bits do not depend on the rows that come with it
+    assert whole.tolist() == [lorentz_norm(FunctionOnSpace(sp, row), spec) for row in rows]
+    width = n + data.draw(st.integers(0, 3))
+    atoms, values = np.full((len(rows), width), n), np.zeros((len(rows), width))
+    for k, row in enumerate(rows):
+        entries = np.flatnonzero(row).tolist() + [n] * (width - np.count_nonzero(row))
+        atoms[k] = data.draw(st.permutations(entries))
+        values[k] = np.append(row, 0.0)[atoms[k]]
+    packed = SupportRows(sp, atoms, values)
+    assert np.all(np.abs(packed.norms(spec) - want) <= tol)
+    i, j = np.triu_indices(len(rows), 1)
+    pair_want = np.array([profile_norm(FunctionOnSpace(sp, rows[a] - rows[b]), spec)
+                          for a, b in zip(i, j)])
+    pair_atoms, pair_values = packed.differences(i, j)
+    assert np.all(np.count_nonzero(pair_values, axis=1)
+                  == np.count_nonzero(rows[i] - rows[j], axis=1))
+    got = lorentz_norms(pair_values, packed.weights(pair_atoms), spec)
+    assert np.all(np.abs(got - pair_want) <= 2e-15 * pair_want)
+    distances = packed.distances(spec)
+    assert np.array_equal(distances[i, j], got) and np.array_equal(distances[j, i], got)
+    assert np.all(np.diagonal(distances) == 0.0)

@@ -646,6 +646,25 @@ def test_ball_runs_are_computed_once_per_radius():
         MetricMeasureSpace.from_matrix(sp.dist, sp.weights).ball_runs(2.0)
 
 
+def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
+    """symm_diff_measures reads per-atom runs memoized per radius and one
+    prefix memo: radii asked for in any order give the bits of a fresh
+    space, and the memos are read-only."""
+    coords = rng.uniform(0.0, 30.0, 60)
+    weights = rng.uniform(0.2, 3.0, 60)
+    sp = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
+    radii = [2.0, 0.5, 2.0, 7.0, 0.5]
+    got = [sp.symm_diff_measures(r, slice(3, 40)) for r in radii]
+    for r, sd in zip(radii, got):
+        fresh = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
+        assert sd.tobytes() == fresh.symm_diff_measures(r, slice(3, 40)).tobytes()
+    for r in (0.5, 2.0, 7.0):
+        lo, hi = sp._atom_runs(r)
+        assert not lo.flags.writeable and not hi.flags.writeable
+        assert sp._atom_runs(r)[0] is lo
+    assert not sp._weight_prefix.flags.writeable
+
+
 def test_line_kernel_bands_match_matrix_on_long_runs(rng):
     """Several row bands at the default size, from single-atom balls up to
     balls that hold the whole cloud."""
