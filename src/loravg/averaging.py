@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lebesgue_norm, lorentz_norm
-from .rearrange import FunctionOnSpace, distribution_function, maximal_profile, rearrangement
+from .rearrange import FunctionOnSpace, MaximalProfile, StepFunction, runs, sorted_profile
 from .space import MetricMeasureSpace, ball, doubling_constant, symm_diff_measure
 
 
@@ -154,9 +154,9 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
                                    r: float, t) -> DistributionInequalityReport:
     """Check mu_{A_r f}(c t) <= (1/t) integral_{|f|>t} |f| at every threshold t.
 
-    t is one threshold or a 1-D array of them.  c, A_r f and the step
-    functions of both sides are built once and evaluated on the whole grid,
-    the right side through integral_{|f|>t} |f| = integral_0^{mu_f(t)} f*.
+    t is one threshold or a 1-D array of them.  With k the number of
+    entries above the threshold in the sorted profile (see `rearrange`),
+    mu is t[k] of A_r f's profile and integral_{|f|>t} |f| is F[k] of f's.
     The report names the (last) threshold of largest lhs / rhs, among the
     failing ones if any fails; `passed` holds only if every threshold does.
     """
@@ -165,10 +165,14 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
         raise DomainError("need positive thresholds, and at least one "
                           "(the zero function has none)")
     c, gammas = distribution_constant(space, r)
-    lhs = distribution_function(average(space, f, r))(c * t)
-    # A quotient above DBL_MAX (t can be subnormal) correctly rounds to inf.
+    levels, _, _, F = sorted_profile(f.values, space.weights)
+    avg_levels, _, avg_t, _ = sorted_profile(average(space, f, r).values, space.weights)
+    # k is a searchsorted of the negated thresholds in the negated, so
+    # nondecreasing, levels.  A c t above DBL_MAX is inf, with k = 0 and
+    # mu = 0; a quotient above DBL_MAX (t can be subnormal) rounds to inf.
     with np.errstate(over="ignore"):
-        rhs = maximal_profile(f).primitive(distribution_function(f)(t)) / t
+        lhs = avg_t[np.searchsorted(-avg_levels, -c * t)]
+        rhs = F[np.searchsorted(-levels, -t)] / t
     ok = holds(lhs, rhs)
     ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
     worst = int(np.lexsort((ratio, ~ok))[-1])  # failing first, then largest ratio
@@ -178,14 +182,20 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
 
 
 def _threshold_grid(values: np.ndarray) -> np.ndarray:
-    """The distinct positive values, geometric midpoints between
-    consecutive ones, half the smallest and twice the largest, dropping
-    any that underflow to 0."""
+    """The distinct positive values, a geometric midpoint between
+    consecutive ones (sqrt(a b), or sqrt(a) sqrt(b) where a b is not a
+    normal float), half the smallest and twice the largest (at most the
+    largest float), dropping any that underflow to 0."""
     vals = np.unique(values[values > 0])
     if vals.size == 0:
         return np.array([])
-    mids = np.sqrt(vals[:-1] * vals[1:])
-    grid = np.unique(np.concatenate((vals, mids, [vals[0] / 2, 2 * vals[-1]])))
+    top = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        product = vals[:-1] * vals[1:]
+        above = min(2 * vals[-1], top)
+    normal = (product >= np.finfo(float).tiny) & (product <= top)
+    mids = np.where(normal, np.sqrt(product), np.sqrt(vals[:-1]) * np.sqrt(vals[1:]))
+    grid = np.unique(np.concatenate((vals, mids, [vals[0] / 2, above])))
     return grid[grid > 0]
 
 
@@ -204,14 +214,16 @@ class RearrangementBoundReport:
 
 def verify_rearrangement_bound(space: MetricMeasureSpace, f: FunctionOnSpace,
                                r: float) -> RearrangementBoundReport:
-    """Check (A_r f)*(t) <= c f**(t) over the joint breakpoint grid."""
+    """Check (A_r f)*(t) <= c f**(t) over the grid of the breakpoints of
+    both, read from the sorted profiles of A_r f and f (see `rearrange`)."""
     if not np.any(f.values != 0):
         raise DomainError("the bound is trivial for the zero function")
     c, _ = distribution_constant(space, r)
-    avg_star = rearrangement(average(space, f, r))
-    profile = maximal_profile(f)
-    grid = _threshold_grid(np.concatenate((avg_star.breakpoints, profile.breakpoints)))
-    ratios = avg_star(grid) / profile(grid)
+    levels, _, t, F = sorted_profile(f.values, space.weights)
+    avg_levels, _, avg_t, _ = sorted_profile(average(space, f, r).values, space.weights)
+    grid = _threshold_grid(np.concatenate((avg_t[1:][runs(avg_levels)[1]],
+                                           t[1:][runs(levels)[1]])))
+    ratios = StepFunction(avg_t, avg_levels)(grid) / MaximalProfile(t, F, levels)(grid)
     worst = int(np.argmax(ratios))
     max_ratio = float(ratios[worst])
     return RearrangementBoundReport(constant_c=c, max_ratio=max_ratio,

@@ -54,23 +54,23 @@ def sample_unit_sphere(space: MetricMeasureSpace, spec: NormSpec, n: int,
     whose nets keep growing with the sample.
 
     Draws are sequential, so the first m samples of a longer run equal an
-    m-sample run with the same seed.
+    m-sample run with the same seed; a draw of level 0 is dropped.  The
+    functions are normalized in one `lorentz_norms` call.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        center = int(rng.integers(space.natoms))
-        quantile = rng.uniform(0.45, 0.55)
-        radius = np.sort(space.distance_row(center))[int(quantile * (space.natoms - 1))]
-        level = rng.standard_normal()
-        f = FunctionOnSpace(space, np.where(space.ball_mask(center, radius),
-                                            level, 0.0))
-        norm = lorentz_norm(f, spec)
-        if norm > 0:
-            out.append(f * (1.0 / norm))
-    return out
+    draws = []
+    while len(draws) < n:
+        draw = int(rng.integers(space.natoms)), rng.uniform(0.45, 0.55), rng.standard_normal()
+        if draw[-1] != 0:  # a level of 0 has no multiple on the unit sphere
+            draws.append(draw)
+    values = np.zeros((n, space.natoms))
+    for row, (center, quantile, level) in zip(values, draws):
+        k = int(quantile * (space.natoms - 1))
+        row[space.ball_mask(center, np.partition(space.distance_row(center), k)[k])] = level
+    values *= 1.0 / lorentz_norms(values, space.weights, spec)[:, None]
+    return [FunctionOnSpace(space, row) for row in values]
 
 
 @dataclass(frozen=True)

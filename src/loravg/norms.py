@@ -9,11 +9,10 @@ The plain diagonal p = q is the Lebesgue p-norm.  One row kernel,
 `lorentz_norms`, computes either variant for every row of an array of
 (value, weight) entries: a function kept on a compressed support, or
 padded with entries of value and weight 0, is a row like any other, and
-`lorentz_norm` is its one-row wrapper.  Per row, one stable descending
-sort of |value| and the cumulative weights lay out f* as one piece per
-entry.  Entries of value 0 get weight 0, so they are pieces of zero width
-at the end of the row that add nothing, and the end of the last positive
-level is the end of the row.
+`lorentz_norm` is its one-row wrapper.  It reads each row block from the
+one sorted profile, `rearrange.sorted_profile`: f* as one piece per entry,
+and F at the breakpoints.  Entries of value 0 are pieces of zero width at
+the end of the row, so the end of the last positive level ends the row.
 
 The plain norm sums one array power integral over the pieces, taken in an
 expm1 form that keeps short pieces far from 0 at full relative precision;
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotInSpaceError
-from .rearrange import FunctionOnSpace
+from .rearrange import FunctionOnSpace, runs, sorted_profile
 
 PLAIN = "plain"
 DOUBLE_STAR = "double-star"
@@ -130,23 +129,14 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def _cumulative(widths: np.ndarray) -> np.ndarray:
-    """(m, s + 1) cumulative sums of the rows, each starting at 0."""
-    out = np.zeros((widths.shape[0], widths.shape[1] + 1))
-    np.cumsum(widths, axis=1, out=out[:, 1:])
-    return out
-
-
-def _plain_norm(levels: np.ndarray, weights: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Plain norm of each row of f* = levels, nonincreasing, on pieces of
-    the given widths."""
-    t = _cumulative(weights)
+def _plain_norm(levels, widths, t, F, p: float, q: float) -> np.ndarray:
+    """Plain norm of each row of a `sorted_profile`."""
     if math.isinf(q):
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
         return np.max(levels * t[:, 1:] ** inv_p, axis=1, initial=0.0)
     pieces = levels ** q * _power_integral(q / p, t[:, :-1], t[:, 1:])
     # Pieces of zero width add nothing; at t = 0 the power integral is NaN.
-    return np.sum(np.where(weights > 0, pieces, 0.0), axis=1) ** (1.0 / q)
+    return np.sum(np.where(widths > 0, pieces, 0.0), axis=1) ** (1.0 / q)
 
 
 def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
@@ -176,29 +166,12 @@ def _double_star_pieces_gauss(t1, t2, a, v, p: float, q: float) -> np.ndarray:
     return t1 ** e * sums
 
 
-def _runs(levels: np.ndarray):
-    """(first, last) for rows of nonincreasing levels: the index at which
-    the run of equal levels of each entry starts, and whether the entry is
-    the last of a run of positive level.  With breakpoints t, the pieces
-    [t[first], t[k + 1]] of the last entries k are the affine pieces of F,
-    one per distinct positive level."""
-    starts = np.ones(levels.shape, dtype=bool)
-    np.not_equal(levels[:, 1:], levels[:, :-1], out=starts[:, 1:])
-    first = np.maximum.accumulate(np.where(starts, np.arange(levels.shape[1]), 0), axis=1)
-    last = levels > 0
-    last[:, :-1] &= starts[:, 1:]
-    return first, last
-
-
-def _double_star_norm(levels: np.ndarray, weights: np.ndarray, p: float,
-                      q: float) -> np.ndarray:
-    """Double-star norm of each row of f* = levels, nonincreasing, on
-    pieces of the given widths; 0 for a row whose integral F is 0."""
-    t = _cumulative(weights)
-    nodes = _cumulative(levels * weights)  # F at the breakpoints
-    first, last = _runs(levels)
+def _double_star_norm(levels, widths, t, F, p: float, q: float) -> np.ndarray:
+    """Double-star norm of each row of a `sorted_profile`; 0 for a row
+    whose integral F is 0."""
+    first, last = runs(levels)
     row = np.arange(levels.shape[0])[:, None]
-    t2, total = t[:, 1:], nodes[:, -1]
+    t2, total = t[:, 1:], F[:, -1]
     if math.isinf(q):
         # On a piece with a, v > 0, g(t) = t^{1/p-1} (a + v t) has
         # g'(t) = t^{1/p-2} ((1/p - 1) a + v t / p), negative and then
@@ -206,7 +179,7 @@ def _double_star_norm(levels: np.ndarray, weights: np.ndarray, p: float,
         # g rises on the first piece (a = 0) and falls beyond the last
         # breakpoint, so the supremum sits at a breakpoint.
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        return np.max(np.where(last, t2 ** (inv_p - 1.0) * nodes[:, 1:], 0.0), axis=1,
+        return np.max(np.where(last, t2 ** (inv_p - 1.0) * F[:, 1:], 0.0), axis=1,
                       initial=0.0)
     e = q / p
     pieces = np.zeros(levels.shape)
@@ -215,7 +188,7 @@ def _double_star_norm(levels: np.ndarray, weights: np.ndarray, p: float,
     inner = last & (first > 0)  # f** = a/t + v on the others, with F = a + v t
     t1 = t[row, first][inner]
     v = levels[inner]
-    a = nodes[row, first][inner] - v * t1
+    a = F[row, first][inner] - v * t1
     pieces[inner] = _double_star_pieces_gauss(t1, t2[inner], a, v, p, q)
     tail = total ** q * t[:, -1] ** (e - q) / (q - e)  # F = total beyond the last piece
     norms = (np.sum(pieces, axis=1) + tail) ** (1.0 / q)
@@ -227,9 +200,9 @@ def lorentz_norms(values, weights, spec: NormSpec) -> np.ndarray:
     function on the atoms of its entries, whose weights are the (s,) array
     weights for every row alike or the row of an (m, s) one.
 
-    Weights are positive, or 0 on padding entries of value 0.  Per row,
-    |values| is sorted once in descending order, stably, and the entries of
-    value 0 get weight 0, so they add nothing.  Rows go in `row_blocks`,
+    Weights are positive, or 0 on padding entries of value 0.  Each block
+    of rows is one `sorted_profile`, in which the entries of value 0 get
+    weight 0, so they add nothing.  Rows go in `row_blocks`,
     and a row's norm does not depend on the rows that come with it.
     Raises NotInSpaceError for a nonzero row when q < p = inf, and
     DomainError when a power passes the floating-point range, so that no
@@ -247,13 +220,8 @@ def lorentz_norms(values, weights, spec: NormSpec) -> np.ndarray:
     # those rows are set to 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows in row_blocks(*values.shape):
-            levels = np.abs(values[rows])
-            order = np.argsort(-levels, axis=1, kind="stable")
-            sort = np.arange(order.shape[0])[:, None], order
-            levels = levels[sort]
-            widths = weights[order] if weights.ndim == 1 else weights[rows][sort]
-            widths[levels == 0] = 0.0
-            out[rows] = norm(levels, widths, spec.p, spec.q)
+            block = weights if weights.ndim == 1 else weights[rows]
+            out[rows] = norm(*sorted_profile(values[rows], block), spec.p, spec.q)
     return _in_range(out, nonzero, f"({spec.p:g}, {spec.q:g})")
 
 

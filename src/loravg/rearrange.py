@@ -2,14 +2,22 @@
 
 All three objects are exact on finite atomic spaces:
 
-* mu_f(t)   = mu({x : |f(x)| > t})         -- nonincreasing step function
-* f*(t)     = inf{s >= 0 : mu_f(s) <= t}   -- the sorted |f| values spread
-              over intervals whose lengths are the atom weights
-* f**(t)    = (1/t) * integral of f* over [0, t]
+* mu_f(s)   = mu({x : |f(x)| > s})
+* f*(s)     = inf{u >= 0 : mu_f(u) <= s}
+* f**(s)    = (1/s) * integral of f* over [0, s]
 
-mu_f and f* are built from one shared (value, weight) grouping so their
-breakpoints and levels agree bitwise, which makes equimeasurability an
-exact identity rather than a tolerance check.
+They, the Lorentz norms and the checks of the paper's pointwise lemmas all
+read one sorted profile, `sorted_profile`: one stable descending sort of
+|f|, with the entries of value 0 given width 0.  Entry k is a piece of f*
+of level levels[k] on [t[k], t[k + 1]), with t the cumulative widths, and
+F, the cumulative levels * widths, is the primitive of f* at the
+breakpoints t.  With k the number of entries above s, mu_f(s) = t[k] and
+the integral of |f| over {|f| > s} is F[k].  Tied values are adjacent
+pieces of one level; no sum merges them first.  The views
+`distribution_function`, `rearrangement` and `maximal_profile` keep the
+ends of the runs of equal levels, so their levels strictly decrease, and
+mu_f and f* share their breakpoints bitwise, which makes equimeasurability
+an exact identity rather than a tolerance check.
 """
 
 from dataclasses import dataclass
@@ -73,40 +81,55 @@ class FunctionOnSpace:
         return {"values": self.values.tolist()}
 
 
+def sorted_profile(values, weights):
+    """(levels, widths, t, F) along the last axis of values, one function
+    or rows of them, with weights of the shape of values or of its last
+    axis: |values| sorted descending, stably, their weights with 0 at the
+    entries of value 0, and the cumulative widths and levels * widths, led
+    by a 0 (F is inf past DBL_MAX)."""
+    levels = np.abs(values)
+    order = np.argsort(-levels, axis=-1, kind="stable")
+    levels = np.take_along_axis(levels, order, axis=-1)
+    widths = weights[order] if weights.ndim == 1 else np.take_along_axis(weights, order, -1)
+    widths[levels == 0] = 0.0
+    t, F = np.zeros((2, *levels.shape[:-1], levels.shape[-1] + 1))
+    np.cumsum(widths, axis=-1, out=t[..., 1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(levels * widths, axis=-1, out=F[..., 1:])
+    return levels, widths, t, F
+
+
+def runs(levels: np.ndarray):
+    """(first, last) for nonincreasing levels along the last axis: the
+    index at which the run of equal levels of each entry starts, and
+    whether the entry is the last of a run of positive level.  With
+    breakpoints t, the pieces [t[first], t[k + 1]] of the last entries k
+    are the affine pieces of F, one per distinct positive level."""
+    starts = np.ones(levels.shape, dtype=bool)
+    np.not_equal(levels[..., 1:], levels[..., :-1], out=starts[..., 1:])
+    first = np.maximum.accumulate(np.where(starts, np.arange(levels.shape[-1]), 0), axis=-1)
+    last = levels > 0
+    last[..., :-1] &= starts[..., 1:]
+    return first, last
+
+
 @dataclass(frozen=True)
 class StepFunction:
-    """Nonincreasing right-continuous step function on [0, inf).
-
-    Value is levels[i] on [breakpoints[i], breakpoints[i+1]) and 0 on
-    [breakpoints[-1], inf).  Levels are strictly decreasing and positive;
-    breakpoints start at 0 and are strictly increasing.
-    """
+    """Nonincreasing right-continuous step function on [0, inf): levels[i]
+    on [breakpoints[i], breakpoints[i+1]) and 0 beyond the last breakpoint,
+    with breakpoints starting at 0.  A view has one piece per distinct
+    positive level; the arrays of a profile, with tied levels and pieces
+    of zero width, evaluate the same way."""
 
     breakpoints: np.ndarray
     levels: np.ndarray
-
-    def __post_init__(self):
-        bp = np.ascontiguousarray(np.asarray(self.breakpoints, dtype=float))
-        lv = np.ascontiguousarray(np.asarray(self.levels, dtype=float))
-        if bp.size != lv.size + 1 or bp[0] != 0.0:
-            raise DomainError("need breakpoints [0, t1, ..., tk] and k levels")
-        if np.any(np.diff(bp) <= 0):
-            raise DomainError("breakpoints must be strictly increasing")
-        if lv.size and (np.any(np.diff(lv) >= 0) or np.any(lv <= 0)):
-            raise DomainError("levels must be strictly decreasing and positive")
-        bp.setflags(write=False)
-        lv.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "levels", lv)
 
     def __call__(self, t):
         """Evaluate at t >= 0 (scalar or array)."""
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise DomainError("step functions are defined on [0, inf)")
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        padded = np.append(self.levels, 0.0)
-        out = padded[np.minimum(idx, self.levels.size)]
+        out = np.append(self.levels, 0.0)[np.searchsorted(self.breakpoints, t, side="right") - 1]
         return float(out) if out.ndim == 0 else out
 
     def to_json(self) -> dict:
@@ -114,34 +137,26 @@ class StepFunction:
                 "levels": self.levels.tolist()}
 
 
-def _level_weights(f: FunctionOnSpace):
-    """Shared grouping of |f|: descending distinct positive values with
-    merged weights and their cumulative sums.
-
-    Returns (values desc, group weights, cumulative weights).  Both mu_f
-    and f* are assembled from these arrays, so the two representations
-    use bitwise-identical partial sums.  All three are empty for f = 0.
-    """
-    av = np.abs(f.values)
-    pos = av > 0
-    uniq, inverse = np.unique(av[pos], return_inverse=True)
-    group_w = np.bincount(inverse, weights=f.space.weights[pos])
-    values_desc = uniq[::-1]
-    weights_desc = group_w[::-1]
-    return values_desc, weights_desc, np.cumsum(weights_desc)
+def _run_ends(f: FunctionOnSpace):
+    """(levels, t, F) of f's profile at the ends of the runs of equal
+    positive levels, with t and F led by their 0."""
+    levels, _, t, F = sorted_profile(f.values, f.space.weights)
+    last = runs(levels)[1]
+    return levels[last], np.append(0.0, t[1:][last]), np.append(0.0, F[1:][last])
 
 
 def distribution_function(f: FunctionOnSpace) -> StepFunction:
-    """mu_f(t) = mu({|f| > t}); breakpoints at the distinct positive |f| values."""
-    values_desc, _, cum = _level_weights(f)
-    # On [values[i+1], values[i]) the measure of {|f| > t} is cum[i].
-    return StepFunction(np.concatenate(([0.0], values_desc[::-1])), cum[::-1])
+    """mu_f(t) = mu({|f| > t}); breakpoints at the distinct positive |f|
+    values, and on [levels[i+1], levels[i]) the measure t[i + 1]."""
+    levels, t, _ = _run_ends(f)
+    return StepFunction(np.append(0.0, levels[::-1]), t[:0:-1])
 
 
 def rearrangement(f: FunctionOnSpace) -> StepFunction:
-    """f*: the distinct |f| values on intervals of length = merged weights."""
-    values_desc, _, cum = _level_weights(f)
-    return StepFunction(np.concatenate(([0.0], cum)), values_desc)
+    """f*: the distinct positive |f| values on intervals whose lengths are
+    the measures of their level sets."""
+    levels, t, _ = _run_ends(f)
+    return StepFunction(t, levels)
 
 
 @dataclass(frozen=True)
@@ -163,58 +178,28 @@ class MaximalProfile:
         """F at and beyond the last breakpoint; equals the L1 norm of f."""
         return float(self.node_values[-1])
 
-    def primitive(self, t):
-        """F(t) for t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("primitive is defined on [0, inf)")
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        idx = np.minimum(idx, self.slopes.size - 1) if self.slopes.size else idx * 0
-        if self.slopes.size:
-            base = self.node_values[idx] + self.slopes[idx] * (t - self.breakpoints[idx])
-            out = np.minimum(base, self.total)
-        else:
-            out = np.zeros_like(t)
-        return float(out) if out.ndim == 0 else out
-
     def __call__(self, t):
         """f**(t), defined for t > 0 only."""
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise DomainError("f** is defined for t > 0 only")
-        out = self.primitive(t) / t
-        return float(out) if np.ndim(out) == 0 else out
-
-    def pieces(self):
-        """Affine pieces of F on [t_i, t_{i+1}] as arrays (t1, t2, a, v).
-
-        On each piece F(t) = a + v t, so f** = a/t + v there; the first
-        piece has a = 0, and beyond the last breakpoint F stays at
-        `total`.
-        """
-        t1 = self.breakpoints[:-1]
-        return t1, self.breakpoints[1:], self.node_values[:-1] - self.slopes * t1, self.slopes
+        s = np.minimum(t, self.breakpoints[-1])  # F stays at total beyond
+        k = np.searchsorted(self.breakpoints, s, side="right") - 1
+        F = self.node_values[k] + np.append(self.slopes, 0.0)[k] * (s - self.breakpoints[k])
+        out = F / t
+        return float(out) if out.ndim == 0 else out
 
 
 def maximal_profile(f: FunctionOnSpace) -> MaximalProfile:
-    star = rearrangement(f)
-    widths = np.diff(star.breakpoints)
-    nodes = np.concatenate(([0.0], np.cumsum(star.levels * widths)))
-    return MaximalProfile(breakpoints=star.breakpoints, node_values=nodes,
-                          slopes=star.levels)
+    levels, t, F = _run_ends(f)
+    return MaximalProfile(breakpoints=t, node_values=F, slopes=levels)
 
 
 def integrate_step_product(a: StepFunction, b: StepFunction) -> float:
     """Exact integral of a(t) * b(t) over the common breakpoint refinement."""
-    end = min(a.breakpoints[-1], b.breakpoints[-1])
-    if end == 0.0:
-        return 0.0
-    grid = np.unique(np.concatenate((
-        a.breakpoints[a.breakpoints <= end],
-        b.breakpoints[b.breakpoints <= end],
-    )))
-    left = grid[:-1]
-    return float(np.sum(a(left) * b(left) * np.diff(grid)))
+    grid = np.unique(np.concatenate((a.breakpoints, b.breakpoints)))
+    grid = grid[grid <= min(a.breakpoints[-1], b.breakpoints[-1])]
+    return float(np.sum(a(grid[:-1]) * b(grid[:-1]) * np.diff(grid)))
 
 
 def hardy_littlewood_check(f: FunctionOnSpace, g: FunctionOnSpace):

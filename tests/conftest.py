@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from loravg import FunctionOnSpace, MetricMeasureSpace
+from loravg import FunctionOnSpace, MaximalProfile, MetricMeasureSpace, StepFunction
 
 
 def random_space(rng, max_atoms=40) -> MetricMeasureSpace:
@@ -74,3 +74,53 @@ def matrix_cases(draw, max_atoms=8):
     radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0, 20.0]))
     space = MetricMeasureSpace.from_matrix(dist, weights)
     return space, FunctionOnSpace(space, values), radius
+
+
+# Reference helpers: the grouping of |f| by np.unique and bincount that the
+# sorted profile replaced, kept here so that tests can check the profile
+# and its views against an independent construction.
+
+def reference_level_weights(f):
+    """(values desc, merged weights, cumulative weights) of the distinct
+    positive |f| values; all three are empty for f = 0."""
+    av = np.abs(f.values)
+    pos = av > 0
+    uniq, inverse = np.unique(av[pos], return_inverse=True)
+    group_w = np.bincount(inverse, weights=f.space.weights[pos])
+    return uniq[::-1], group_w[::-1], np.cumsum(group_w[::-1])
+
+
+def reference_rearrangement(f) -> StepFunction:
+    values, _, cum = reference_level_weights(f)
+    return StepFunction(np.concatenate(([0.0], cum)), values)
+
+
+def reference_distribution(f) -> StepFunction:
+    values, _, cum = reference_level_weights(f)
+    return StepFunction(np.concatenate(([0.0], values[::-1])), cum[::-1])
+
+
+def reference_maximal_profile(f) -> MaximalProfile:
+    star = reference_rearrangement(f)
+    nodes = np.concatenate(([0.0], np.cumsum(star.levels * np.diff(star.breakpoints))))
+    return MaximalProfile(star.breakpoints, nodes, star.levels)
+
+
+def check_step_function(sf):
+    """A step function's invariants: breakpoints [0, t1, ..., tk] strictly
+    increasing and k levels strictly decreasing and positive."""
+    bp, lv = sf.breakpoints, sf.levels
+    assert bp.size == lv.size + 1 and bp[0] == 0.0
+    assert np.all(np.diff(bp) > 0)
+    assert np.all(np.diff(lv) < 0) and np.all(lv > 0)
+
+
+def profile_pieces(profile):
+    """Affine pieces of F on [t_i, t_{i+1}] as arrays (t1, t2, a, v).
+
+    On each piece F(t) = a + v t, so f** = a/t + v there; the first piece
+    has a = 0, and beyond the last breakpoint F stays at `total`.
+    """
+    t1 = profile.breakpoints[:-1]
+    return (t1, profile.breakpoints[1:], profile.node_values[:-1] - profile.slopes * t1,
+            profile.slopes)

@@ -26,10 +26,12 @@ from loravg import (
 )
 from loravg import averaging
 from loravg import space as space_mod
-from loravg.averaging import equicontinuity_bound_matrix, holds, threshold_sweep
+from loravg.averaging import _threshold_grid, equicontinuity_bound_matrix, holds, threshold_sweep
 from loravg.rearrange import distribution_function
 from loravg.space import doubling_constant
-from conftest import matrix_cases, random_function, random_radius, random_space
+from conftest import (matrix_cases, random_function, random_radius, random_space,
+                      reference_distribution, reference_maximal_profile,
+                      reference_rearrangement)
 
 
 def test_average_examples():
@@ -243,6 +245,8 @@ def test_distribution_grid_matches_per_threshold_loop(case):
         c, lhs, rhs = _reference_distribution(sp, f, r, t)
         assert single.constant_c == c and single.t == t
         assert single.lhs == lhs
+        assert lhs == pytest.approx(reference_distribution(average(sp, f, r))(c * t),
+                                    rel=1e-12, abs=0.0)
         assert single.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
         assert single.passed == holds(lhs, rhs)
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
@@ -277,6 +281,49 @@ def test_threshold_sweep_covers_breakpoints():
     with warnings.catch_warnings():  # the right side at t = 5e-324 is inf, silently
         warnings.simplefilter("error", RuntimeWarning)
         assert verify_distribution_inequality(sp, tiny, 1.0, threshold_sweep(tiny)).passed
+
+
+@pytest.mark.parametrize("values", [[1.0, 1e200, 2e200], [1e-200, 2e-200, 1.0]])
+def test_threshold_grid_probes_inside_every_step(values):
+    """sqrt(a b) overflows on (1e200, 2e200) and underflows on
+    (1e-200, 2e-200); every step still gets a finite positive probe."""
+    grid = _threshold_grid(np.array(values))
+    assert np.all(np.isfinite(grid)) and np.all(grid > 0)
+    for a, b in zip(values, values[1:]):
+        assert np.any((grid > a) & (grid < b))
+    assert grid[0] == values[0] / 2 and grid[-1] == 2 * values[-1]
+    top = _threshold_grid(np.array([1e308, 1.0]))
+    assert top[-1] == np.finfo(float).max and np.all(np.isfinite(top))
+
+
+def test_threshold_grid_keeps_the_geometric_midpoint_bits(rng):
+    values = np.abs(rng.standard_normal(50)) * 10.0 ** rng.uniform(-100, 100, 50)
+    vals = np.unique(values)
+    grid = _threshold_grid(values)
+    assert np.isin(np.sqrt(vals[:-1] * vals[1:]), grid).all()
+
+
+def test_rearrangement_bound_matches_the_reference_views(rng):
+    """Without tied |values| in f or A_r f, the profile lookups give the
+    ratios of the step functions of the reference grouping on the same
+    grid, up to rounding.  With ties, the measures sum in another order,
+    and a grid point an ulp inside a step can move the ratio by more."""
+    checked = 0
+    for _ in range(100):
+        sp = random_space(rng)
+        f = FunctionOnSpace(sp, rng.standard_normal(sp.natoms))
+        r = random_radius(rng, sp)
+        avg = average(sp, f, r)
+        if any(np.unique(np.abs(g.values)).size < sp.natoms for g in (f, avg)):
+            continue
+        rep = verify_rearrangement_bound(sp, f, r)
+        avg_star, profile = reference_rearrangement(avg), reference_maximal_profile(f)
+        grid = _threshold_grid(np.concatenate((avg_star.breakpoints, profile.breakpoints)))
+        ratios = avg_star(grid) / profile(grid)
+        assert rep.max_ratio == pytest.approx(ratios.max(), rel=1e-13)
+        assert rep.worst_t == grid[np.argmax(ratios)]
+        checked += 1
+    assert checked >= 20
 
 
 def test_rearrangement_bound_examples(rng):

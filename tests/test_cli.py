@@ -286,6 +286,25 @@ def test_verify_needs_a_trial(capsys, space_file, lemma, trials):
     assert code == 2 and out == ""
 
 
+def test_verify_distribution_near_dblmax_prints_no_warning(tmp_path):
+    """c t above DBL_MAX means mu = 0, and twice the largest value stops at
+    the largest float: the run says nothing on stderr but its wall time."""
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                                 "weights": [1, 2, 1]}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"values": [1e308, 1, 0.5]}))
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma",
+                          "distribution", "--space", str(space), "--fn", str(fn), "--r", "1",
+                          "--p", "2", "--q", "2"], capture_output=True, text=True,
+                         timeout=120, env={"PYTHONPATH": src, "PATH": ""})
+    assert res.returncode == 0
+    assert res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1
+    report = json.loads(res.stdout)
+    assert report["pass"] is True and [ch["pass"] for ch in report["checks"]] == [True]
+
+
 def test_verify_equicontinuity_skips_equal_balls(capsys, tmp_path):
     """Pairs of atoms with the same ball have a zero bound and no 0/0."""
     import warnings

@@ -38,6 +38,33 @@ def test_sample_norms_and_determinism():
     assert not np.array_equal(a[0].values, c[0].values)
 
 
+def sample_one_at_a_time(space, spec, n, seed):
+    """The sampler as a loop that norms each draw on its own, with a full
+    sort for the quantile radius, keeping a draw when its norm is positive."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        center = int(rng.integers(space.natoms))
+        quantile = rng.uniform(0.45, 0.55)
+        radius = np.sort(space.distance_row(center))[int(quantile * (space.natoms - 1))]
+        level = rng.standard_normal()
+        f = FunctionOnSpace(space, np.where(space.ball_mask(center, radius), level, 0.0))
+        norm = lorentz_norm(f, spec)
+        if norm > 0:
+            out.append(f * (1.0 / norm))
+    return out
+
+
+@pytest.mark.parametrize("spec", [SPEC, NormSpec(3, 1.5, "double-star"), NormSpec(1.5, math.inf)])
+def test_sample_matches_the_one_at_a_time_loop(rng, spec):
+    for _ in range(8):
+        sp = random_space(rng)
+        seed = int(rng.integers(2**32))
+        got = sample_unit_sphere(sp, spec, 40, seed)
+        want = sample_one_at_a_time(sp, spec, 40, seed)
+        assert [f.values.tobytes() for f in got] == [f.values.tobytes() for f in want]
+
+
 def test_sample_prefix_nesting():
     sp = MetricMeasureSpace.lattice(20)
     short = sample_unit_sphere(sp, SPEC, 30, 3)

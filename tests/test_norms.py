@@ -26,7 +26,8 @@ from loravg import (
 from loravg.compactness import SupportRows
 from loravg.norms import (_GAUSS_NODES, _GAUSS_WEIGHTS, _double_star_pieces_gauss,
                           _power_integral, lorentz_norms)
-from conftest import matrix_cases, random_function, random_space
+from conftest import (matrix_cases, profile_pieces, random_function, random_space,
+                      reference_maximal_profile, reference_rearrangement)
 from test_space import line_cases
 
 PS = [1.5, 2.0, 3.0, 10.0]
@@ -135,7 +136,7 @@ def badly_scaled_function(rng, max_atoms=12):
 
 def mixed_pieces(f):
     """(t1, t2, a, v) arrays of the pieces of F with a > 0: all but the first."""
-    t1, t2, a, v = maximal_profile(f).pieces()
+    t1, t2, a, v = profile_pieces(maximal_profile(f))
     keep = a > 0
     return t1[keep], t2[keep], a[keep], v[keep]
 
@@ -189,9 +190,9 @@ def mpmath_norm(mpmath, f, spec):
     with mpmath.workdps(40):
         p, q = mpmath.mpf(spec.p), mpmath.mpf(spec.q)
         e = q / p
-        profile = maximal_profile(f)
+        profile = reference_maximal_profile(f)
         acc = mpmath.mpf(0)
-        for t1, t2, a, v in zip(*profile.pieces()):
+        for t1, t2, a, v in zip(*profile_pieces(profile)):
             t1, t2, a, v = map(mpmath.mpf, (t1, t2, a, v))
             if spec.variant == PLAIN or t1 == 0:
                 acc += v ** q * (t2 ** e - t1 ** e) / e
@@ -411,16 +412,23 @@ def test_norm_equivalence_examples():
     assert norm_equivalence_check(zero, 3.0, 2.0) == (0.0, 0.0)
 
 
-def test_norm_equivalence_sandwich(rng):
-    for _ in range(30):
-        f = random_function(rng, random_space(rng))
-        p = PS[int(rng.integers(len(PS)))]
-        q = QS[int(rng.integers(len(QS)))]
-        plain, ds = norm_equivalence_check(f, p, q)
-        assert plain <= ds * (1 + 1e-10)
-        assert ds <= (p / (p - 1)) * plain * (1 + 1e-10)
+def sandwich_cases():
+    """(space, values): one function on a matrix_cases or line_cases space,
+    line values rounded to 6 decimals as matrix_cases values are."""
+    return st.one_of(matrix_cases().map(lambda case: (case[0], case[1].values)),
+                     line_cases().map(lambda case: (case[0], np.round(
+                         case[2].reshape(case[0].natoms, -1)[:, 0], 6))))
+
+
+@settings(deadline=None)
+@given(sandwich_cases(), st.sampled_from(PS), st.sampled_from(QS))
+def test_norm_equivalence_sandwich(case, p, q):
+    sp, values = case
+    f = FunctionOnSpace(sp, values)
+    plain, ds = norm_equivalence_check(f, p, q)
+    assert plain <= ds * (1 + 1e-10)
+    assert ds <= (p / (p - 1)) * plain * (1 + 1e-10)
     # p = inf: the two variants coincide at q = inf
-    f = random_function(rng, random_space(rng))
     plain, ds = norm_equivalence_check(f, math.inf, math.inf)
     assert plain == pytest.approx(ds, rel=1e-12)
 
@@ -462,21 +470,21 @@ def test_gauss_legendre_table_is_leggauss_12():
 
 def profile_norm(f, spec):
     """The norm by the per-function formulas that the row kernel replaced:
-    the pieces of f* from `rearrangement` and of f** from
-    `maximal_profile`, one per distinct level, with no range checks."""
+    the pieces of f* and of f** from the reference grouping of |f|, one
+    per distinct level, with no range checks."""
     p, q = spec.p, spec.q
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     if spec.variant == PLAIN:
-        star = rearrangement(f)
+        star = reference_rearrangement(f)
         t = star.breakpoints
         if math.isinf(q):
             return float(np.max(star.levels * t[1:] ** inv_p, initial=0.0))
         acc = np.sum(star.levels ** q * _power_integral(q / p, t[:-1], t[1:]))
         return float(acc) ** (1.0 / q)
-    profile = maximal_profile(f)
+    profile = reference_maximal_profile(f)
     if profile.total == 0.0:
         return 0.0
-    t1, t2, a, v = profile.pieces()
+    t1, t2, a, v = profile_pieces(profile)
     if math.isinf(q):
         return float(np.max(t2 ** (inv_p - 1.0) * profile.node_values[1:]))
     e = q / p

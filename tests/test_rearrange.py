@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loravg import (
     DomainError,
@@ -11,7 +13,9 @@ from loravg import (
     maximal_profile,
     rearrangement,
 )
-from conftest import random_function, random_space
+from conftest import (check_step_function, matrix_cases, random_function, random_space,
+                      reference_maximal_profile, reference_rearrangement)
+from test_space import line_cases
 
 
 def three_atom_space():
@@ -112,15 +116,51 @@ def test_distribution_against_definition(rng):
             assert mu(t) == pytest.approx(brute_distribution(f, t), rel=1e-12)
 
 
-def test_equimeasurability_exact(rng):
+def function_cases():
+    """A function on a matrix_cases or line_cases space, with zero and tied
+    values."""
+    return st.one_of(matrix_cases().map(lambda case: case[1]),
+                     line_cases().map(lambda case: FunctionOnSpace(
+                         case[0], case[2].reshape(case[0].natoms, -1)[:, 0])))
+
+
+@settings(deadline=None)
+@given(function_cases())
+def test_equimeasurability_exact(f):
     # mu_f(t) equals the length of {f* > t}, exactly: both sides are the
     # same cumulative sums by construction.
-    for _ in range(30):
-        f = random_function(rng, random_space(rng), allow_zero=True)
-        mu = distribution_function(f)
-        star = rearrangement(f)
-        for t in probe_grid(mu):
-            assert mu(t) == measure_above(star, t)
+    mu = distribution_function(f)
+    star = rearrangement(f)
+    for t in probe_grid(mu):
+        assert mu(t) == measure_above(star, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(function_cases())
+def test_views_match_the_reference_grouping(f):
+    """The views keep the distinct positive levels of the np.unique and
+    bincount grouping, with breakpoints that are bitwise the same when no
+    two |f| values tie and within a few ulps when some do."""
+    mu, star, prof = distribution_function(f), rearrangement(f), maximal_profile(f)
+    ref = reference_rearrangement(f)
+    for view in (mu, star):
+        if view.levels.size:
+            check_step_function(view)
+    # mu_f mirrors f*: its breakpoints are the levels of f*, and its levels
+    # the breakpoints of f*, in reverse order.
+    assert np.array_equal(mu.breakpoints[1:], star.levels[::-1])
+    assert np.array_equal(mu.levels, star.breakpoints[:0:-1])
+    assert np.array_equal(star.levels, ref.levels)
+    av = np.abs(f.values[f.values != 0])
+    if np.unique(av).size < av.size:
+        assert np.allclose(star.breakpoints, ref.breakpoints, rtol=8 * np.finfo(float).eps,
+                           atol=0)
+    else:
+        assert np.array_equal(star.breakpoints, ref.breakpoints)
+    assert np.array_equal(prof.slopes, star.levels)
+    assert np.array_equal(prof.breakpoints, star.breakpoints)
+    assert np.allclose(prof.node_values, reference_maximal_profile(f).node_values,
+                       rtol=16 * np.finfo(float).eps, atol=0)
 
 
 def test_layer_cake(rng):
@@ -140,9 +180,8 @@ def test_levels_strictly_decreasing_with_ties(rng):
     assert list(star.breakpoints) == [0.0, 3.0, 6.0]
     for _ in range(20):
         f = random_function(rng, random_space(rng))
-        levels = rearrangement(f).levels
-        assert np.all(np.diff(levels) < 0)
-        assert np.all(levels > 0)
+        check_step_function(rearrangement(f))
+        check_step_function(distribution_function(f))
 
 
 def test_maximal_profile_indicator():
@@ -158,7 +197,7 @@ def test_maximal_profile_indicator():
 def test_maximal_profile_example_and_zero():
     f = FunctionOnSpace(three_atom_space(), [3, 1, 2])
     prof = maximal_profile(f)
-    assert prof.primitive(3.0) == 6.0
+    assert prof(3.0) * 3.0 == 6.0
     assert prof(3.0) == 2.0
     zero = maximal_profile(FunctionOnSpace(three_atom_space(), [0, 0, 0]))
     assert zero(1.0) == 0.0 and zero(100.0) == 0.0
