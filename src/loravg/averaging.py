@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .norms import NormSpec, holder_constants, lebesgue_norm, lorentz_norm
+from .norms import NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm
 from .rearrange import FunctionOnSpace, MaximalProfile, StepFunction, runs, sorted_profile
 from .space import MetricMeasureSpace, ball, doubling_constant, symm_diff_measure
 
@@ -103,6 +103,29 @@ def equicontinuity_modulus(space: MetricMeasureSpace, x: int, y: int, r: float,
         g = _kernel_difference_density(space, x, y, r)
         exact = lebesgue_norm(g, spec.p / (spec.p - 1.0))
     return bound, exact
+
+
+def adjacent_dual_moduli(space: MetricMeasureSpace, r: float, spec: NormSpec,
+                         rows: slice) -> np.ndarray:
+    """equicontinuity_modulus's exact component for the pairs (x, x + 1)
+    with x in the slice rows and x + 1 < n, in one array pass: the dual
+    norm of each kernel-row difference density, with the bits of the pair
+    by pair computation.  Needs the plain diagonal p = q, p in (1, inf)."""
+    if not (spec.variant == "plain" and spec.p == spec.q and 1 < spec.p < math.inf):
+        raise DomainError("the exact modulus needs plain p = q in (1, inf)")
+    start, stop, _ = rows.indices(space.natoms - 1)
+    mu = space.ball_measures(r)[start:stop + 1, None]
+    masks = space.ball_masks(r, slice(start, stop + 1))
+    g = masks[:-1] / mu[:-1]
+    g -= masks[1:] / mu[1:]
+    # Pair by pair, the pairs before the first density that is not finite
+    # had their norms, and any error of those, first.
+    not_finite = np.flatnonzero(~np.isfinite(g).all(axis=1))
+    exact = lebesgue_norms(g[:not_finite[0]] if not_finite.size else g, space.weights,
+                           spec.p / (spec.p - 1.0))
+    if not_finite.size:
+        raise DomainError("function values must be finite")
+    return exact
 
 
 def _kernel_difference_density(space: MetricMeasureSpace, x: int, y: int,

@@ -108,17 +108,32 @@ def _power_integral(d: float, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         return t2 ** d * -np.expm1(-d * np.log1p((t2 - t1) / t1)) / d
 
 
-def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
-    """Weighted p-norm; max |f| at p = inf.  Raises DomainError, as
-    `lorentz_norm` does, when a power passes the floating-point range."""
+def lebesgue_norms(values, weights, p: float) -> np.ndarray:
+    """The weighted p-norm of each row of an (m, n) array of values with
+    the (n,) weights; max |value| at p = inf.  A row has the bits it has
+    alone.  Raises DomainError, as `lorentz_norms` does, when a power
+    passes the floating-point range, for the first row where it does."""
     if p < 1:
         raise DomainError("need p >= 1")
-    av = np.abs(f.values)
+    av = np.abs(values)
     if math.isinf(p):
-        return float(av.max())
+        return av.max(axis=1)
     with np.errstate(over="ignore"):
-        value = float(np.sum(f.space.weights * av ** p) ** (1.0 / p))
-    return _in_range(value, np.any(f.values != 0), f"L^{p:g}")
+        av **= p
+        av *= weights
+        # The root is a scalar power per row: numpy's array power can round
+        # differently.
+        out = np.array([s ** (1.0 / p) for s in np.sum(av, axis=1)])
+    nonzero = np.any(values != 0, axis=1)
+    bad = np.flatnonzero(~np.isfinite(out) | ((out == 0.0) & nonzero))[:1]
+    _in_range(out[bad], nonzero[bad], f"L^{p:g}")
+    return out
+
+
+def lebesgue_norm(f: FunctionOnSpace, p: float) -> float:
+    """Weighted p-norm; max |f| at p = inf: `lebesgue_norms` of the one
+    row f.values."""
+    return float(lebesgue_norms(f.values[None, :], f.space.weights, p)[0])
 
 
 def row_blocks(rows: int, width: int) -> list[slice]:

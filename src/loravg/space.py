@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ _BLOCK_ENTRIES = 1 << 18
 # of float64.
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
-# Entries per row block of the triangle check: two float64 buffers that
-# stay in cache while every pivot passes over them.
+# Entries per row block of the triangle check, summed over its threads:
+# each thread has two float64 buffers that stay in cache while every pivot
+# passes over them.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 16
 
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
@@ -52,7 +54,21 @@ _TRIANGLE_RTOL = 1e-12
 
 def _max_atoms() -> int:
     raw = os.environ.get(MAX_ATOMS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_ATOMS
+    if not raw:
+        return DEFAULT_MAX_ATOMS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise DomainError(f"{MAX_ATOMS_ENV} must be a nonnegative integer, not {raw!r}")
+    return cap
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _violates_a_triangle(dist: np.ndarray, tol: float) -> bool:
@@ -63,29 +79,69 @@ def _violates_a_triangle(dist: np.ndarray, tol: float) -> bool:
     tol rounds monotonically, so comparing with that least sum plus tol
     decides the same as comparing pivot by pivot.  A violating (i, j)
     implies (j, i) and the diagonal never violates, so pairs i < j suffice.
+
+    min(usable CPUs, blocks) threads, the caller among them, take the
+    blocks from a shared counter, so a stalled CPU holds up at most one
+    block; numpy releases the GIL inside np.add and np.minimum.  Each
+    thread works in its own slice of one buffer allocated here, and the
+    threads stop taking blocks after the first violating block or the
+    first exception, which is raised here once all have stopped.
     """
     n = dist.shape[0]
-    rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // n))
-    total, least = np.empty((rows, n)), np.empty((rows, n))
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        pair_sum, low = total[:b - a, :n - a], least[:b - a, :n - a]
-        low.fill(np.inf)
-        for k in range(n):
-            np.add(dist[a:b, k, None], dist[None, k, a:], out=pair_sum)
-            np.minimum(low, pair_sum, out=low)
-        low += tol
-        if np.any(dist[a:b, a:] > low):
-            return True
-    return False
+    one_thread_rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // n))
+    workers = min(_usable_cpus(), -(-n // one_thread_rows))
+    rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // (workers * n)))
+    starts = range(0, n, rows)
+    taken = itertools.count()  # next() is atomic under the GIL
+    stop, found, errors = threading.Event(), [], []
+
+    def work(total, least):
+        try:
+            while not stop.is_set() and (i := next(taken)) < len(starts):
+                a = starts[i]
+                b = min(a + rows, n)
+                pair_sum, low = total[:b - a, :n - a], least[:b - a, :n - a]
+                low.fill(np.inf)
+                for k in range(n):
+                    np.add(dist[a:b, k, None], dist[None, k, a:], out=pair_sum)
+                    np.minimum(low, pair_sum, out=low)
+                low += tol
+                # low - d < 0 exactly where d > low; in place, because a
+                # temporary in a thread grows the heap of its own arena.
+                np.subtract(low, dist[a:b, a:], out=low)
+                if low.min() < 0:
+                    found.append(a)
+                    stop.set()
+        except BaseException as err:
+            errors.append(err)
+            stop.set()
+
+    buffers = np.empty((workers, 2, rows, n))
+    threads = [threading.Thread(target=work, args=tuple(buffer)) for buffer in buffers[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(*buffers[0])
+    finally:
+        stop.set()  # all blocks are taken unless a thread failed to start
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+    return bool(found)
 
 
 def validate_metric(dist: np.ndarray) -> None:
     """Check symmetry, zero diagonal, nonnegativity and all triangles.
 
-    O(n^3), vectorized in row blocks.  Raises MetricViolationError with
-    the witness triple (i, k, j) that comes first in (k, i, j) order on a
-    triangle failure.
+    O(n^3), vectorized in row blocks that the usable CPUs share, one
+    thread each, with no thread when there is one block or one CPU (see
+    `_violates_a_triangle`).  All threads together hold two buffers of
+    about _TRIANGLE_BLOCK_ENTRIES float64 entries, as one thread did.
+    Raises MetricViolationError with the witness triple (i, k, j) that
+    comes first in (k, i, j) order on a triangle failure; that witness is
+    found pivot by pivot, on one thread.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -234,10 +290,14 @@ class MetricMeasureSpace:
         _check_radius(r)
         return self.distance_row(x) <= r
 
-    def ball_masks(self, r: float) -> np.ndarray:
-        """(n, n) boolean array; row x is the mask of B(x, r)."""
+    def ball_masks(self, r: float, rows: slice = slice(None)) -> np.ndarray:
+        """(rows, n) boolean array; row i is the mask of B(x, r) for the
+        i-th atom x of the slice rows (all by default).  A line space forms
+        only those rows of its distances."""
         _check_radius(r)
-        return self.dist <= r
+        if self.coords is None:
+            return self.dist[rows] <= r
+        return _line_distance(self.metric, self.coords[rows, None], self.coords[None, :]) <= r
 
     def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): on a line space, the ball of radius r around the atom
@@ -336,12 +396,17 @@ class MetricMeasureSpace:
         in which `symm_diff_measures` sums.  A block holds about
         _PAIR_BLOCK_ENTRIES pairs (x, y).  On a matrix space it holds at
         least n^2 / 16, because each block also converts two n x n masks
-        to floats for its products."""
+        to floats for its products, and at least two rows when n > 1:
+        numpy multiplies a one-row block with another kernel (gemv), whose
+        sums round differently from the whole matrix product's."""
         n = self.natoms
         step = max(1, _PAIR_BLOCK_ENTRIES // n)
         if self.coords is None:
-            step = max(step, -(-n // 16))
-        return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+            step = max(step, -(-n // 16), 2)
+        ends = [*range(step, n, step), n]
+        if self.coords is None and len(ends) > 1 and ends[-1] - ends[-2] == 1:
+            del ends[-2]  # the last row joins the block before it
+        return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
 
     def symm_diff_measures(self, r: float, rows: slice = slice(None)) -> np.ndarray:
         """mu(B(x, r) symm-diff B(y, r)) for the atoms x in the slice rows

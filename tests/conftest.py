@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from loravg import FunctionOnSpace, MaximalProfile, MetricMeasureSpace, StepFunction
+from loravg import space as space_mod
 
 
 def random_space(rng, max_atoms=40) -> MetricMeasureSpace:
@@ -124,3 +125,15 @@ def profile_pieces(profile):
     t1 = profile.breakpoints[:-1]
     return (t1, profile.breakpoints[1:], profile.node_values[:-1] - profile.slopes * t1,
             profile.slopes)
+
+
+def reference_triangle_witness(dist):
+    """The full pivot loop that validate_metric ran before its blockwise
+    check: the first violating (i, k, j) in (k, i, j) order, or None."""
+    tol = space_mod._TRIANGLE_RTOL * max(dist.max(), 1.0)
+    for k in range(dist.shape[0]):
+        bad = dist > dist[:, k, None] + dist[None, k, :] + tol
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            return i, k, j
+    return None

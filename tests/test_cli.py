@@ -456,6 +456,27 @@ def _dispatch_quietly(argv):
     return code, err.getvalue()
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_malformed_validation_cap_exits_2(monkeypatch, tmp_path, raw):
+    monkeypatch.setenv("LORAVG_MAX_ATOMS", raw)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1], [1, 0]]}))
+    code, err = _dispatch_quietly(["build-space", "--space", str(space)])
+    assert code == 2
+    assert err.startswith(f"error: LORAVG_MAX_ATOMS must be a nonnegative integer, not {raw!r}")
+
+
+@pytest.mark.parametrize("flag", ["--space", "--fn"])
+def test_deeply_nested_json_exits_2(tmp_path, space_file, chi_file, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    files = {"--space": space_file, "--fn": chi_file, flag: str(deep)}
+    code, err = _dispatch_quietly(["norm", "--space", files["--space"], "--fn", files["--fn"],
+                                   "--p", "2", "--q", "2"])
+    assert code == 2
+    assert err.startswith(f"error: JSON in {deep} is nested too deeply")
+
+
 _NAN_COMMANDS = [
     ["avg", "--fn", "FN", "--r", "nan"],
     *[["verify", "--lemma", lemma, "--r", "nan", "--p", "2", "--q", "2", "--seed", "1",

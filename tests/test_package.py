@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import loravg
@@ -57,3 +60,55 @@ def test_bench_span_table_names_resolve():
     restore()
     assert [q for q, (owner, name, raw) in originals.items()
             if vars(owner)[name] is not raw] == []
+
+
+_LAZY_GUARD = """
+import json, sys
+import loravg
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("loravg."))
+
+report = {"on_import": loaded()}
+loravg.build_space({"kind": "matrix", "dist": [[0, 1], [1, 0]]})
+report["after_build_space"] = loaded()
+report["unresolved"] = [name for name in loravg.__all__ if not hasattr(loravg, name)]
+report["not_in_dir"] = sorted(set(loravg.__all__) - set(dir(loravg)))
+try:
+    loravg.no_such_name
+except AttributeError:
+    report["unknown"] = "AttributeError"
+print(json.dumps(report))
+"""
+
+_BUILD_SPACE_GUARD = """
+import json, sys
+from loravg.cli import main
+code = main(["build-space", "--space", sys.argv[1]])
+print(json.dumps([code, "hashlib" in sys.modules, "loravg.compactness" in sys.modules]),
+      file=sys.stderr)
+"""
+
+
+def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         timeout=120, env={"PYTHONPATH": src, "PATH": ""})
+    assert res.returncode == 0, res.stderr
+    return res
+
+
+def test_package_names_are_lazy():
+    """`import loravg` loads no submodule and `build_space` only the two it
+    needs; every public name still resolves, and an unknown one is an
+    AttributeError."""
+    report = json.loads(_run_fresh(_LAZY_GUARD).stdout)
+    assert report == {"on_import": [], "after_build_space": ["loravg.errors", "loravg.space"],
+                      "unresolved": [], "not_in_dir": [], "unknown": "AttributeError"}
+
+
+def test_build_space_imports_only_what_it_runs(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1], [1, 0]]}))
+    res = _run_fresh(_BUILD_SPACE_GUARD, str(space))
+    assert json.loads(res.stderr.strip().splitlines()[-1]) == [0, False, False]

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import threading
 import warnings
 from unittest import mock
 
@@ -25,9 +29,9 @@ from loravg import (
 from loravg import NormSpec
 from loravg import space as space_mod
 from loravg.averaging import equicontinuity_bound_matrix, holds
-from loravg.cli import CLIError, _verify_equicontinuity
+from loravg.cli import CLIError, _verify_equicontinuity, dispatch
 from loravg.compactness import _separated_count
-from conftest import matrix_cases, random_space
+from conftest import matrix_cases, random_space, reference_triangle_witness
 
 
 def brute_ball(space, x, r):
@@ -419,18 +423,6 @@ def test_from_cloud_rejects_nonfinite_coords():
                 MetricMeasureSpace.from_cloud(coords, metric=metric)
 
 
-def _reference_triangle_witness(dist):
-    """The full pivot loop validate_metric ran before its blockwise check:
-    the first violating (i, k, j) in (k, i, j) order, or None."""
-    tol = space_mod._TRIANGLE_RTOL * max(dist.max(), 1.0)
-    for k in range(dist.shape[0]):
-        bad = dist > dist[:, k, None] + dist[None, k, :] + tol
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            return i, k, j
-    return None
-
-
 @st.composite
 def corrupted_matrices(draw):
     """A matrix_cases distance matrix with some symmetric pairs moved, to
@@ -451,10 +443,14 @@ def corrupted_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corrupted_matrices(), st.integers(1, 64))
-def test_blockwise_triangle_check_matches_pivot_loop(dist, block):
-    want = _reference_triangle_witness(dist)
-    with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", block):
+@given(corrupted_matrices(), st.integers(1, 64), st.sampled_from([1, 4]))
+def test_blockwise_triangle_check_matches_pivot_loop(dist, block, cpus):
+    """With 1 usable CPU the check runs on the caller alone; with 4 and
+    small blocks, up to 4 threads share them.  The verdict, message and
+    witness are those of the pivot loop either way."""
+    want = reference_triangle_witness(dist)
+    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", block):
         if want is None:
             space_mod.validate_metric(dist)
             return
@@ -464,6 +460,67 @@ def test_blockwise_triangle_check_matches_pivot_loop(dist, block):
     assert err.value.witness == want
     assert str(err.value) == (f"triangle violation: d({i},{j})={dist[i, j]} > "
                               f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}")
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_threads_share_a_large_triangle_check(planted):
+    """A 150-atom grid in blocks of one row, on 4 threads: the threads
+    overlap in time, and each keeps to its own buffer.  A violation planted
+    in the last rows is found with the pivot loop's witness."""
+    coords = np.array([(x, y) for x in range(15) for y in range(10)], dtype=float)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    if planted:
+        dist[140, 149] = dist[149, 140] = 2 * dist[140, 149]
+    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+            mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 150):
+        if not planted:
+            space_mod.validate_metric(dist)
+            return
+        with pytest.raises(MetricViolationError) as err:
+            space_mod.validate_metric(dist)
+    assert err.value.witness == reference_triangle_witness(dist)
+
+
+class _NumpyFailingInWorkers:
+    """numpy, except that np.minimum raises MemoryError on any thread but
+    the main one; the main thread waits for that first."""
+
+    def __init__(self):
+        self.raised = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def minimum(self, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            self.raised.set()
+            raise MemoryError("injected in a validation thread")
+        self.raised.wait(timeout=30)
+        return np.minimum(*args, **kwargs)
+
+
+def test_triangle_check_worker_error_reaches_the_caller(tmp_path):
+    coords = np.array([(x, y) for x in range(6) for y in range(5)], dtype=float)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "matrix", "dist": dist.tolist()}))
+    threads = threading.active_count()
+    for run in ("direct", "cli"):
+        fake = _NumpyFailingInWorkers()
+        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 64), \
+                mock.patch.object(space_mod, "np", fake):
+            if run == "direct":
+                with pytest.raises(MemoryError, match="validation thread"):
+                    space_mod.validate_metric(dist)
+            else:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert dispatch(["build-space", "--space", str(path)]) == 2
+                assert err.getvalue().startswith("error: injected in a validation thread")
+        assert fake.raised.is_set()
+        assert threading.active_count() == threads
+    space_mod.validate_metric(dist)  # and the real check passes
 
 
 @st.composite
