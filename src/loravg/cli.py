@@ -23,8 +23,10 @@ import time
 
 import numpy as np
 
-# averaging, compactness, svgplot and hashlib are imported by the handlers
-# that use them, so that a command loads only what it runs.
+# averaging, compactness and svgplot are imported by the handlers that use
+# them, so that a command loads only what it runs.  The input digests take
+# the interpreter's built-in SHA-256 (see _sha256), because hashlib loads
+# OpenSSL's libcrypto, about 3.4 MB of resident memory.
 from . import norms, rearrange, space as space_mod
 from .errors import DomainError, MetricViolationError, NotInSpaceError
 
@@ -46,10 +48,24 @@ def _load_json(path: str):
         raise CLIError(f"JSON in {path} is nested too deeply")
 
 
-def _digest(path: str) -> str:
+def _sha256():
+    """The SHA-256 constructor: hashlib's when hashlib is loaded already, as
+    numpy.random loads it, since OpenSSL's code is the fastest; otherwise the
+    interpreter's built-in one, which loads no OpenSSL (random.py does the
+    same for SHA-512); hashlib's when neither built-in module exists."""
+    if sys.modules.get("hashlib") is None:
+        for name in ("_sha2", "_sha256"):  # Python 3.12 and later; 3.10 and 3.11
+            try:
+                return __import__(name).sha256
+            except ImportError:
+                pass
     import hashlib
 
-    sha = hashlib.sha256()
+    return hashlib.sha256
+
+
+def _digest(path: str) -> str:
+    sha = _sha256()()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
             sha.update(block)
@@ -390,7 +406,8 @@ def _cmd_witness(args) -> int:
     return 1 if report["pass"] is False else 0
 
 
-def _parse_family(raw: str) -> tuple[list[space_mod.MetricMeasureSpace], list[str]]:
+def _parse_family(raw: str) -> list[int]:
+    """The lattice sizes L of a family spec."""
     parts = raw.split(":")
     if parts[0] != "lattice" or len(parts) not in (2, 4):
         raise CLIError("family must be lattice:L or lattice:START:STOP:STEP")
@@ -403,7 +420,7 @@ def _parse_family(raw: str) -> tuple[list[space_mod.MetricMeasureSpace], list[st
     sizes = nums if len(nums) == 1 else list(range(nums[0], nums[1] + 1, nums[2]))
     if not sizes:
         raise CLIError("family is empty")
-    return [space_mod.MetricMeasureSpace.lattice(L) for L in sizes], [str(L) for L in sizes]
+    return sizes
 
 
 def _cmd_probe(args) -> int:
@@ -411,10 +428,13 @@ def _cmd_probe(args) -> int:
 
     if args.seed is None:
         raise CLIError("randomized run: --seed is mandatory")
-    spaces, labels = _parse_family(args.family)
+    sizes = _parse_family(args.family)
     spec = _norm_spec(args)
+    # Each lattice is built when its row is computed, so the probe holds one
+    # space, with its memos, at a time.
+    spaces = (space_mod.MetricMeasureSpace.lattice(L) for L in sizes)
     rows = compactness.compactness_probe(spaces, args.r, spec, args.epsilon,
-                                         args.n, args.seed, labels=labels)
+                                         args.n, args.seed, labels=map(str, sizes))
     lines = ["L,k,witness_count,witness_min,c_lower"]
     for row in rows:
         wmin = "" if row.witness_min is None else repr(row.witness_min)

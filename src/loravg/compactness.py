@@ -21,6 +21,7 @@ needs an array of one value per atom for each witness.
 """
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,32 +359,46 @@ def _separated_count(distances: np.ndarray, epsilon: float) -> int:
     return sum(keep for _, keep, _ in scan)
 
 
-def compactness_probe(spaces: list[MetricMeasureSpace], r: float, spec: NormSpec,
+def _probe_row(space: MetricMeasureSpace, label: str, r: float, spec: NormSpec,
+               epsilon: float, n: int, seed: int) -> ProbeRow:
+    """One row of compactness_probe, for space drawn with seed."""
+    kernel = AveragingKernel.build(space, r)
+    samples = sample_unit_sphere(space, spec, n, seed)
+    columns = kernel.means(np.stack([f.values for f in samples], axis=1))
+    images = [FunctionOnSpace(space, column) for column in columns.T]
+    cover = covering_number(images, epsilon, spec)
+    witness = witness_sequence(space, r, space.natoms, spec)
+    if witness.bounded_regime:
+        count, wmin = 0, None
+    else:
+        count = _separated_count(witness.distances, epsilon)
+        wmin = witness.min_pairwise
+    return ProbeRow(label=label, natoms=space.natoms, k=cover.k, witness_count=count,
+                    witness_min=wmin, c_lower=witness.c_lower)
+
+
+def compactness_probe(spaces: Iterable[MetricMeasureSpace], r: float, spec: NormSpec,
                       epsilon: float, n: int, seed: int,
-                      labels: list[str] | None = None) -> list[ProbeRow]:
+                      labels: Iterable[str] | None = None) -> list[ProbeRow]:
     """Trend table over a family of spaces.
 
     Per space: sample n unit-sphere functions (seeded by seed + index so
     runs are reproducible space by space), average them, record the
     greedy epsilon-net size of the images, and when 4r-separated centers
-    exist record the witness-image separation statistics.
+    exist record the witness-image separation statistics.  A row is
+    labelled by its entry of labels (the table stops with the shorter of
+    the two), or by the space's atom count.
+
+    spaces may be any iterable.  Nothing here keeps a space, or what was
+    computed on it, past its row, so a generator that builds each space
+    on demand keeps one in memory at a time.
     """
-    if labels is None:
-        labels = [str(s.natoms) for s in spaces]
-    rows = []
-    for index, (space, label) in enumerate(zip(spaces, labels)):
-        kernel = AveragingKernel.build(space, r)
-        samples = sample_unit_sphere(space, spec, n, seed + index)
-        columns = kernel.means(np.stack([f.values for f in samples], axis=1))
-        images = [FunctionOnSpace(space, column) for column in columns.T]
-        cover = covering_number(images, epsilon, spec)
-        witness = witness_sequence(space, r, space.natoms, spec)
-        if witness.bounded_regime:
-            count, wmin = 0, None
-        else:
-            count = _separated_count(witness.distances, epsilon)
-            wmin = witness.min_pairwise
-        rows.append(ProbeRow(label=str(label), natoms=space.natoms, k=cover.k,
-                             witness_count=count, witness_min=wmin,
-                             c_lower=witness.c_lower))
+    labels = None if labels is None else iter(labels)
+    rows: list[ProbeRow] = []
+    for space in spaces:
+        label = str(space.natoms) if labels is None else next(labels, None)
+        if label is None:
+            break
+        rows.append(_probe_row(space, str(label), r, spec, epsilon, n, seed + len(rows)))
+        del space  # before the iterable builds the next one
     return rows

@@ -304,7 +304,10 @@ def holder_constants(spec: NormSpec, measure_A: float) -> HolderConstants:
     elif math.isinf(q):
         lam = p / (p - 1.0)
     else:
-        lam = (p * (q - 1.0) / (q * (p - 1.0))) ** (1.0 - 1.0 / q)
+        ratio = p * (q - 1.0) / (q * (p - 1.0))
+        if not math.isfinite(ratio):  # p (q - 1) or q (p - 1) overflowed
+            ratio = p / (p - 1.0) * (1.0 - 1.0 / q)
+        lam = ratio ** (1.0 - 1.0 / q)
     return HolderConstants(lam=lam, alpha=lam * measure_A ** (1.0 - 1.0 / p))
 
 

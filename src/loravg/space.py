@@ -22,6 +22,7 @@ ball measure is read from it.  The compensated prefix sums of a line
 space's weights do not depend on the radius and are computed once.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -658,8 +659,35 @@ def separated_points(space: MetricMeasureSpace, delta: float, k: int) -> list[in
         raise DomainError("separation delta must be positive")
     if k < 1:
         raise DomainError("need k >= 1")
+    if space.coords is not None:
+        return _separated_line_points(space, delta, k)
     scan = greedy_scan(space.natoms, lambda x, kept: space.distance_row(x, kept), delta)
     return list(itertools.islice((x for x, keep, _ in scan if keep), k))
+
+
+def _separated_line_points(space: MetricMeasureSpace, delta: float, k: int) -> list[int]:
+    """separated_points on a line space, with greedy_scan's rule.
+
+    A distance is nondecreasing in |c_x - c_y|, so the kept atom nearest
+    to x is a neighbour of c_x among the kept coordinates, which stay
+    sorted; each distance has _line_distance's bits, in float arithmetic.
+    """
+    if space.metric == "euclidean":
+        def gap(a: float, b: float) -> float:
+            return math.sqrt((a - b) * (a - b))
+    else:
+        def gap(a: float, b: float) -> float:
+            return abs(a - b)
+    kept: list[int] = []
+    kept_coords: list[float] = []  # sorted
+    for x, c in enumerate(space.coords.tolist()):
+        i = bisect.bisect_left(kept_coords, c)
+        if min((gap(c, y) for y in kept_coords[max(i - 1, 0):i + 1]), default=math.inf) > delta:
+            kept.append(x)
+            if len(kept) == k:
+                break
+            kept_coords.insert(i, c)
+    return kept
 
 
 def vitali_subfamily(space: MetricMeasureSpace, balls):

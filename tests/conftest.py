@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -137,3 +139,11 @@ def reference_triangle_witness(dist):
             i, j = map(int, np.argwhere(bad)[0])
             return i, k, j
     return None
+
+
+def reference_separated_points(space, delta, k):
+    """The generic greedy scan of separated_points, over distance_row, that
+    a line space ran before it bisected its kept coordinates."""
+    scan = space_mod.greedy_scan(space.natoms,
+                                 lambda x, kept: space.distance_row(x, kept), delta)
+    return list(itertools.islice((x for x, keep, _ in scan if keep), k))

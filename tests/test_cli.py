@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,31 @@ def test_probe_subcommand(capsys, tmp_path):
     code = dispatch(["probe", "--family", "lattice:10:30:10", "--r", "1",
                      "--p", "2", "--q", "2", "--epsilon", "0.3", "--n", "20"])
     assert code == 2  # seed mandatory
+
+
+def test_probe_holds_one_family_space_at_a_time(capsys, monkeypatch):
+    """probe builds each lattice of --family when its row is computed and
+    keeps nothing of it, memos included, once the row is done; the CSV is
+    the one that a list of the same spaces gives."""
+    lattice, built, alive = loravg.MetricMeasureSpace.lattice, [], []
+
+    def tracked(L, weights=None):
+        alive.append(sum(ref() is not None for ref in built))
+        space = lattice(L, weights)
+        built.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr(loravg.MetricMeasureSpace, "lattice", staticmethod(tracked))
+    code, out = run(capsys, "probe", "--family", "lattice:10:40:10", "--r", "1", "--p", "2",
+                    "--q", "2", "--epsilon", "0.3", "--n", "20", "--seed", "7")
+    assert code == 0
+    assert (len(built), alive) == (4, [0, 0, 0, 0])
+    sizes = [10, 20, 30, 40]
+    rows = loravg.compactness_probe([lattice(L) for L in sizes], 1.0, loravg.NormSpec(2, 2),
+                                    0.3, 20, 7, labels=[str(L) for L in sizes])
+    assert out.splitlines()[1:] == [
+        f"{row.label},{row.k},{row.witness_count},{row.witness_min!r},{row.c_lower!r}"
+        for row in rows]
 
 
 def test_approx_subcommand(capsys, tmp_path):
@@ -585,6 +611,8 @@ def cli_runs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cli_runs())
+@example(run_spec=("line", ["witness", "--space", "SPACE", "--r", "1e-300", "--k", "2",
+                            "--p", "2", "--q", "1e308"]))
 def test_cli_fuzz_exits_zero_one_or_two(small_spaces, run_spec):
     form, argv = run_spec
     space, fn = small_spaces[form]

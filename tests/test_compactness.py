@@ -234,6 +234,21 @@ def test_probe_rows_and_monotonicity():
     assert all(a >= b for a, b in zip(ks, ks[1:]))
 
 
+def test_probe_takes_any_iterable():
+    """A generator of spaces gives the rows of a list, default labels
+    included, and the labels stop the table when they run out."""
+    sizes = (6, 12, 18)
+    rows = compactness_probe([MetricMeasureSpace.lattice(L) for L in sizes],
+                             1.0, SPEC, 0.3, 15, 4)
+    assert [r.label for r in rows] == ["7", "13", "19"]
+    assert compactness_probe((MetricMeasureSpace.lattice(L) for L in sizes),
+                             1.0, SPEC, 0.3, 15, 4) == rows
+    labelled = compactness_probe(iter([MetricMeasureSpace.lattice(L) for L in sizes]),
+                                 1.0, SPEC, 0.3, 15, 4, labels=(str(L) for L in sizes[:2]))
+    assert [(r.label, r.k, r.witness_count) for r in labelled] == [
+        (str(L), r.k, r.witness_count) for L, r in zip(sizes, rows[:2])]
+
+
 def test_probe_labels_and_seeding():
     spaces = [MetricMeasureSpace.lattice(L) for L in (10, 20)]
     rows = compactness_probe(spaces, 1.0, SPEC, 0.3, 25, 7, labels=["10", "20"])

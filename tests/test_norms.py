@@ -359,6 +359,9 @@ def test_holder_constant_values():
     assert holder_constants(NormSpec(2, 2), 1.0).lam == pytest.approx(1.0)
     assert holder_constants(NormSpec(2, 1), 1.0).lam == pytest.approx(1.0)
     assert holder_constants(NormSpec(2, math.inf), 1.0).lam == pytest.approx(2.0)
+    # p (q - 1) overflows near DBL_MAX; lam is then p/(p-1) to the last bit
+    assert holder_constants(NormSpec(2, 1e308), 1.0).lam == 2.0
+    assert holder_constants(NormSpec(3, 1.7e308), 1.0).lam == 1.5
     # alpha(A) = lam * mu(A)^{1-1/p}
     assert holder_constants(NormSpec(2, 2), 9.0).alpha == pytest.approx(3.0)
     with pytest.raises(DomainError):

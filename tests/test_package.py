@@ -1,12 +1,17 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import loravg
+from loravg import cli
 
 
 def test_no_assert_statements_in_package():
@@ -81,13 +86,37 @@ except AttributeError:
 print(json.dumps(report))
 """
 
-_BUILD_SPACE_GUARD = """
-import json, sys
+# A fresh process runs one command, its artifact discarded, and reports on
+# stderr its exit code, the package modules loaded and whether OpenSSL's
+# _hashlib was.
+_COMMAND_GUARD = """
+import contextlib, io, json, sys
 from loravg.cli import main
-code = main(["build-space", "--space", sys.argv[1]])
-print(json.dumps([code, "hashlib" in sys.modules, "loravg.compactness" in sys.modules]),
-      file=sys.stderr)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("loravg.")),
+                  "_hashlib" in sys.modules]), file=sys.stderr)
 """
+
+# cli imports errors, norms, rearrange and space for every command.
+_CLI_MODULES = ["cli", "errors", "norms", "rearrange", "space"]
+_P2_Q2 = ["--p", "2", "--q", "2"]
+# name -> (argv, the package modules it loads beyond _CLI_MODULES, whether
+# it loads _hashlib).  Only numpy.random, which a seeded run draws from,
+# brings in hashlib and with it OpenSSL; the input digests do not.
+_COMMAND_IMPORTS = {
+    "build-space": (["build-space", "--space", "SPACE"], [], False),
+    "avg": (["avg", "--space", "SPACE", "--fn", "FN", "--r", "1"], ["averaging"], False),
+    "norm": (["norm", "--space", "SPACE", "--fn", "FN", *_P2_Q2], [], False),
+    "witness": (["witness", "--space", "SPACE", "--r", "1", "--k", "3", *_P2_Q2],
+                ["averaging", "compactness"], False),
+    "approx": (["approx", "--space", "SPACE", "--fn", "FN", "--epsilon", "0.5", *_P2_Q2],
+               ["averaging", "compactness"], False),
+    "verify --fn": (["verify", "--lemma", "operator-bound", "--space", "SPACE", "--fn", "FN",
+                     "--r", "1", *_P2_Q2], ["averaging"], False),
+    "verify --seed": (["verify", "--lemma", "distribution", "--space", "SPACE", "--seed", "1",
+                       "--trials", "1", "--r", "1", *_P2_Q2], ["averaging"], True),
+}
 
 
 def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
@@ -107,8 +136,44 @@ def test_package_names_are_lazy():
                       "unresolved": [], "not_in_dir": [], "unknown": "AttributeError"}
 
 
-def test_build_space_imports_only_what_it_runs(tmp_path):
-    space = tmp_path / "space.json"
-    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1], [1, 0]]}))
-    res = _run_fresh(_BUILD_SPACE_GUARD, str(space))
-    assert json.loads(res.stderr.strip().splitlines()[-1]) == [0, False, False]
+def test_commands_import_only_what_they_run(tmp_path):
+    """Each command, in a fresh process, exits 0 having loaded the package
+    modules of its row in _COMMAND_IMPORTS and OpenSSL only if the row says
+    so; a mismatch is reported under the command's name."""
+    files = {"SPACE": tmp_path / "space.json", "FN": tmp_path / "fn.json"}
+    files["SPACE"].write_text(json.dumps({"kind": "cloud", "metric": "l1",
+                                          "coords": [[float(x)] for x in range(12)]}))
+    files["FN"].write_text(json.dumps({"values": [0.5, -1, 2, 0, 1, 1, 3, -2, 0.25, 1, 0, 2]}))
+    seen, expected = {}, {}
+    for name, (argv, modules, openssl) in _COMMAND_IMPORTS.items():
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        res = _run_fresh(_COMMAND_GUARD, json.dumps(argv))
+        seen[name] = json.loads(res.stderr.strip().splitlines()[-1])
+        expected[name] = [0, sorted(_CLI_MODULES + modules), openssl]
+    assert seen == expected
+
+
+_DIGEST_SIZES = [0, 1, 65_535, 65_536, 65_537, 3_000_017]
+
+
+@pytest.mark.parametrize("branch", ["built-in", "hashlib loaded", "fallback"])
+def test_digest_is_sha256(tmp_path, monkeypatch, branch):
+    """_digest gives hashlib's SHA-256 around its 64 KiB reads, whichever
+    constructor it takes: the built-in one while hashlib is not loaded,
+    hashlib's once it is, and hashlib's when no built-in module exists."""
+    if branch != "hashlib loaded":
+        monkeypatch.delitem(sys.modules, "hashlib")
+    if branch == "fallback":
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    sha256 = cli._sha256()
+    if branch == "built-in":
+        assert sha256.__module__ in ("_sha2", "_sha256") and "hashlib" not in sys.modules
+    else:
+        assert sha256 is sys.modules["hashlib"].sha256
+    rng = random.Random(2401)
+    path = tmp_path / "input"
+    for size in _DIGEST_SIZES:
+        data = rng.randbytes(size)
+        path.write_bytes(data)
+        assert cli._digest(str(path)) == "sha256:" + hashlib.sha256(data).hexdigest(), size

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import threading
 import warnings
 from unittest import mock
@@ -31,7 +32,8 @@ from loravg import space as space_mod
 from loravg.averaging import equicontinuity_bound_matrix, holds
 from loravg.cli import CLIError, _verify_equicontinuity, dispatch
 from loravg.compactness import _separated_count
-from conftest import matrix_cases, random_space, reference_triangle_witness
+from conftest import (matrix_cases, random_space, reference_separated_points,
+                      reference_triangle_witness)
 
 
 def brute_ball(space, x, r):
@@ -187,6 +189,39 @@ def test_greedy_scan_matches_reference_loops(case, delta, k):
     sp = case[0]
     assert separated_points(sp, delta, k) == _reference_separated_points(sp, delta, k)
     assert _separated_count(sp.dist, delta) == _reference_separated_count(sp.dist, delta)
+
+
+# Coordinates: small integers (so they repeat), tiny values whose squared
+# differences underflow, and any finite float.
+_LINE_COORDS = st.one_of(st.integers(-8, 8).map(float),
+                         st.sampled_from([0.0, 1e-170, 3e-170, 1e-160, 2.5e-155]),
+                         st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def line_separation_cases(draw):
+    """(line space, delta, k): a lattice or a 1-D l1, euclidean or linf
+    cloud, with delta often an exact distance between two of its atoms."""
+    metric = draw(st.sampled_from(["lattice", "l1", "euclidean", "linf"]))
+    if metric == "lattice":
+        space = MetricMeasureSpace.lattice(draw(st.integers(0, 40)))
+    else:
+        coords = draw(st.lists(_LINE_COORDS, min_size=1, max_size=40))
+        space = MetricMeasureSpace.from_cloud(np.array(coords)[:, None], metric=metric)
+    x, y = (draw(st.integers(0, space.natoms - 1)) for _ in range(2))
+    gap = float(space.distance_row(x, [y])[0])
+    delta = draw(st.one_of(st.floats(1e-300, 1e7), st.just(math.inf)))
+    if gap > 0 and draw(st.booleans()):
+        delta = gap
+    return space, delta, draw(st.integers(1, 45))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_separation_cases())
+def test_line_separated_points_match_the_generic_scan(case):
+    space, delta, k = case
+    assert space.coords is not None
+    assert separated_points(space, delta, k) == reference_separated_points(space, delta, k)
 
 
 def test_vitali_spec_trace():
