@@ -150,8 +150,8 @@ def _function_from_args(args, sp) -> rearrange.FunctionOnSpace:
     if not isinstance(payload, dict) or "values" not in payload:
         raise CLIError("function JSON must be an object with a 'values' field")
     try:
-        values = np.asarray(payload["values"], dtype=float)
-    except (TypeError, ValueError):
+        values = space_mod.json_floats(payload["values"])
+    except (TypeError, ValueError, OverflowError):
         raise CLIError(f"function values in {args.fn} must be numbers")
     return rearrange.FunctionOnSpace(sp, values)
 

@@ -44,10 +44,14 @@ _BLOCK_ENTRIES = 1 << 18
 # of float64.
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
-# Entries per row block of the triangle check, summed over its threads:
-# each thread has two float64 buffers that stay in cache while every pivot
-# passes over them.
+# Half the float64 entries of the triangle check's buffer, summed over its
+# threads: 1 MB in all.  A tile's pivot sums and their minima fit a
+# thread's share, which stays in cache from the sums to the reduction.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 16
+
+# Rows per row tile of the triangle check, at most; a tile then takes as
+# many columns as its thread's buffer holds.
+_TRIANGLE_TILE_ROWS = 8
 
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
 # distances) can violate the exact inequality by a few ulps.
@@ -72,77 +76,101 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _violates_a_triangle(dist: np.ndarray, tol: float) -> bool:
-    """Whether d(i, j) > (d(i, k) + d(k, j)) + tol for some i < j and k.
+def _least_triangle_violation(dist: np.ndarray, tol: float):
+    """The least (k, i, j) with d(i, j) > (d(i, k) + d(k, j)) + tol, or None.
 
-    Row block [a, b) x [a, n) at a time, each block keeps the least
-    d(i, k) + d(k, j) over all pivots k in a preallocated buffer.  Adding
-    tol rounds monotonically, so comparing with that least sum plus tol
-    decides the same as comparing pivot by pivot.  A violating (i, j)
-    implies (j, i) and the diagonal never violates, so pairs i < j suffice.
+    A tile of rows [a, b) and columns [c, e), c > a, forms the sums
+    d(i, k) + d(j, k) of its pairs over the pivots k, along the contiguous
+    axis, and min-reduces them.  `validate_metric` has checked exact
+    symmetry and IEEE addition commutes, so these are the bits of
+    d(i, k) + d(k, j); adding tol rounds monotonically, so the least sum
+    plus tol decides the same as every pivot one by one.  Only a violating
+    tile compares its pivots one by one, for the first violating k of each
+    pair.  The tiles cover every pair i < j, and (j, i) violates where
+    (i, j) does, so the least (k, i, j) over the tiles is the first
+    violation in (k, i, j) order.  Once a triple is found, later tiles sum
+    only the pivots up to its k, since no larger pivot gives a lesser one.
 
-    min(usable CPUs, blocks) threads, the caller among them, take the
-    blocks from a shared counter, so a stalled CPU holds up at most one
-    block; numpy releases the GIL inside np.add and np.minimum.  Each
-    thread works in its own slice of one buffer allocated here, and the
-    threads stop taking blocks after the first violating block or the
-    first exception, which is raised here once all have stopped.
+    min(usable CPUs, row tiles) threads, the caller among them, take the
+    row tiles [a, b) x [a + 1, n) from a shared counter, so a stalled CPU
+    holds up at most one row tile; numpy releases the GIL inside its ufunc
+    loops and reductions.  A row tile has at most _TRIANGLE_TILE_ROWS rows,
+    and a tile's sums and least sums fit its thread's buffer, a slice of
+    2 * _TRIANGLE_BLOCK_ENTRIES float64 entries allocated here (or of one
+    pair's n + 1 entries a thread, where that is more).  The threads stop
+    after the first exception, which is raised here once all have stopped.
     """
     n = dist.shape[0]
-    one_thread_rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // n))
-    workers = min(_usable_cpus(), -(-n // one_thread_rows))
-    rows = max(1, min(n, _TRIANGLE_BLOCK_ENTRIES // (workers * n)))
-    starts = range(0, n, rows)
-    taken = itertools.count()  # next() is atomic under the GIL
-    stop, found, errors = threading.Event(), [], []
 
-    def work(total, least):
+    def rows_and_cols(workers):  # of the widest tile, over all pivots
+        entries = 2 * _TRIANGLE_BLOCK_ENTRIES // workers // (n + 1)
+        rows = max(1, min(_TRIANGLE_TILE_ROWS, entries))
+        return rows, max(1, min(n - 1, entries // rows))
+
+    workers = min(_usable_cpus(), max(1, -(-(n - 1) // rows_and_cols(1)[0])))
+    rows, cols = rows_and_cols(workers)
+    entries = rows * cols * (n + 1)
+    starts = range(0, n - 1, rows)
+    taken = itertools.count()  # next() is atomic under the GIL
+    stop, errors, lock = threading.Event(), [], threading.Lock()
+    least = [(n, n, n)]  # the least (k, i, j) found so far, written under lock
+
+    def work(buffer):
         try:
-            while not stop.is_set() and (i := next(taken)) < len(starts):
-                a = starts[i]
+            while not stop.is_set() and (t := next(taken)) < len(starts):
+                a = starts[t]
                 b = min(a + rows, n)
-                pair_sum, low = total[:b - a, :n - a], least[:b - a, :n - a]
-                low.fill(np.inf)
-                for k in range(n):
-                    np.add(dist[a:b, k, None], dist[None, k, a:], out=pair_sum)
-                    np.minimum(low, pair_sum, out=low)
-                low += tol
-                # low - d < 0 exactly where d > low; in place, because a
-                # temporary in a thread grows the heap of its own arena.
-                np.subtract(low, dist[a:b, a:], out=low)
-                if low.min() < 0:
-                    found.append(a)
-                    stop.set()
+                c = a + 1
+                while c < n:
+                    pivots = min(n, least[0][0] + 1)
+                    e = min(n, c + max(1, entries // ((b - a) * (pivots + 1))))
+                    size = (b - a) * (e - c)
+                    sums = buffer[:size * pivots].reshape(b - a, e - c, pivots)
+                    low = buffer[size * pivots:size * (pivots + 1)].reshape(b - a, e - c)
+                    np.add(dist[a:b, None, :pivots], dist[None, c:e, :pivots], out=sums)
+                    np.minimum.reduce(sums, axis=2, out=low)
+                    low += tol
+                    # low - d < 0 exactly where d > low; in place, because a
+                    # temporary in a thread grows the heap of its own arena.
+                    np.subtract(low, dist[a:b, c:e], out=low)
+                    if low.min() < 0:  # find the first violating pivot of each pair
+                        np.add(sums, tol, out=sums)
+                        first = np.less(sums, dist[a:b, c:e, None]).argmax(axis=2)
+                        i, j = np.nonzero(low < 0)  # in row-major order
+                        at = first[i, j].argmin()  # the least (i, j) of the least k
+                        found = int(first[i[at], j[at]]), a + int(i[at]), c + int(j[at])
+                        with lock:
+                            least[0] = min(least[0], found)
+                    c = e
         except BaseException as err:
             errors.append(err)
             stop.set()
 
-    buffers = np.empty((workers, 2, rows, n))
-    threads = [threading.Thread(target=work, args=tuple(buffer)) for buffer in buffers[1:]]
+    buffers = np.empty((workers, entries))
+    threads = [threading.Thread(target=work, args=(buffer,)) for buffer in buffers[1:]]
     try:
         for thread in threads:
             thread.start()
-        work(*buffers[0])
+        work(buffers[0])
     finally:
-        stop.set()  # all blocks are taken unless a thread failed to start
+        stop.set()  # all tiles are taken unless a thread failed to start
         for thread in threads:
             if thread.ident is not None:
                 thread.join()
     if errors:
         raise errors[0]
-    return bool(found)
+    return None if least[0][0] == n else least[0]
 
 
 def validate_metric(dist: np.ndarray) -> None:
     """Check symmetry, zero diagonal, nonnegativity and all triangles.
 
-    O(n^3), vectorized in row blocks that the usable CPUs share, one
-    thread each, with no thread when there is one block or one CPU (see
-    `_violates_a_triangle`).  All threads together hold two buffers of
-    about _TRIANGLE_BLOCK_ENTRIES float64 entries, as one thread did.
-    Raises MetricViolationError with the witness triple (i, k, j) that
-    comes first in (k, i, j) order on a triangle failure; that witness is
-    found pivot by pivot, on one thread.
+    O(n^3), vectorized over tiles of pairs that the usable CPUs share, one
+    thread each, with no thread when there is one row tile or one CPU (see
+    `_least_triangle_violation`).  All threads together hold a buffer of
+    2 * _TRIANGLE_BLOCK_ENTRIES float64 entries.  Raises
+    MetricViolationError with the witness triple (i, k, j) that comes
+    first in (k, i, j) order on a triangle failure, found in the same pass.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -157,18 +185,14 @@ def validate_metric(dist: np.ndarray) -> None:
         i, j = np.argwhere(dist != dist.T)[0]
         raise MetricViolationError(f"matrix not symmetric at ({i},{j})")
     tol = _TRIANGLE_RTOL * max(dist.max(), 1.0)
-    if not _violates_a_triangle(dist, tol):
-        return
-    for k in range(n):  # locate the first witness, pivot by pivot
-        bad = dist > dist[:, k, None] + dist[None, k, :] + tol
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise MetricViolationError(
-                f"triangle violation: d({i},{j})={dist[i, j]} > "
-                f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}",
-                witness=(i, k, j),
-            )
-    raise RuntimeError("the blockwise triangle check must agree with the pivot loop")
+    witness = _least_triangle_violation(dist, tol)
+    if witness is not None:
+        k, i, j = witness
+        raise MetricViolationError(
+            f"triangle violation: d({i},{j})={dist[i, j]} > "
+            f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}",
+            witness=(i, k, j),
+        )
 
 
 def _line_distance(metric: str, a, b) -> np.ndarray:
@@ -569,11 +593,24 @@ class MetricMeasureSpace:
 _MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a MemoryError
 
 
+def json_floats(raw) -> np.ndarray:
+    """raw, a value parsed from JSON, as a float array.  TypeError,
+    ValueError or OverflowError if an entry is not a number, a string
+    included: numpy itself would parse "1" as 1.0.  The dtype is inferred
+    first, so only an object array, of nulls or of integers too large for
+    int64, has its entries scanned in Python."""
+    array = np.asarray(raw)
+    if array.dtype.kind in "SU" or (array.dtype == object
+                                    and any(isinstance(v, str) for v in array.flat)):
+        raise TypeError("a string is not a number")
+    return array.astype(float, copy=False)
+
+
 def _floats(raw, key: str) -> np.ndarray:
     """raw, the space field key, as a float array; DomainError if it does not convert."""
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+        return json_floats(raw)
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"space field {key!r} is not numeric")
 
 

@@ -130,8 +130,8 @@ def profile_pieces(profile):
 
 
 def reference_triangle_witness(dist):
-    """The full pivot loop that validate_metric ran before its blockwise
-    check: the first violating (i, k, j) in (k, i, j) order, or None."""
+    """The pivot loop that validate_metric once ran over whole matrices:
+    the first violating (i, k, j) in (k, i, j) order, or None."""
     tol = space_mod._TRIANGLE_RTOL * max(dist.max(), 1.0)
     for k in range(dist.shape[0]):
         bad = dist > dist[:, k, None] + dist[None, k, :] + tol

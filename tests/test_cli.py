@@ -503,6 +503,35 @@ def test_deeply_nested_json_exits_2(tmp_path, space_file, chi_file, flag):
     assert err.startswith(f"error: JSON in {deep} is nested too deeply")
 
 
+_PAIR = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("space, values, field", [
+    ({"kind": "matrix", "dist": [[0, "1"], ["1", 0]]}, [2, 1], "dist"),
+    ({"kind": "matrix", "dist": _PAIR, "weights": ["1", 1]}, [2, 1], "weights"),
+    ({"kind": "cloud", "coords": [[0, "1"], [1, 0]]}, [2, 1], "coords"),
+    ({"kind": "cloud", "coords": [[0], [1]], "weights": "12"}, [2, 1], "weights"),
+    ({"kind": "graph", "n": 2, "edges": [[0, 1, "1.5"]]}, [2, 1], "edges"),
+    ({"kind": "matrix", "dist": [[0, 2 ** 64], ["1", 0]]}, [2, 1], "dist"),
+    ({"kind": "matrix", "dist": [[0, 10 ** 400], [10 ** 400, 0]]}, [2, 1], "dist"),
+    ({"kind": "matrix", "dist": _PAIR}, ["2", 1], None),
+    ({"kind": "matrix", "dist": _PAIR}, [2 ** 64, "1"], None),
+    ({"kind": "matrix", "dist": _PAIR}, [10 ** 400, 1], None),
+])
+def test_strings_in_numeric_fields_exit_2(tmp_path, space, values, field):
+    """numpy parses "1" as 1.0, and an integer past the float range raised
+    OverflowError; either is a malformed input, as "3" is for a size.  The
+    space field, or else the function values, is named."""
+    space_path, fn_path = tmp_path / "space.json", tmp_path / "fn.json"
+    space_path.write_text(json.dumps(space))
+    fn_path.write_text(json.dumps({"values": values}))
+    code, err = _dispatch_quietly(["norm", "--space", str(space_path), "--fn", str(fn_path),
+                                   "--p", "2", "--q", "2"])
+    assert code == 2
+    assert err.startswith(f"error: space field {field!r} is not numeric" if field
+                          else f"error: function values in {fn_path} must be numbers"), err
+
+
 _NAN_COMMANDS = [
     ["avg", "--fn", "FN", "--r", "nan"],
     *[["verify", "--lemma", lemma, "--r", "nan", "--p", "2", "--q", "2", "--seed", "1",

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -499,7 +501,7 @@ def test_blockwise_triangle_check_matches_pivot_loop(dist, block, cpus):
 
 @pytest.mark.parametrize("planted", [False, True])
 def test_threads_share_a_large_triangle_check(planted):
-    """A 150-atom grid in blocks of one row, on 4 threads: the threads
+    """A 150-atom grid in tiles of one pair, on 4 threads: the threads
     overlap in time, and each keeps to its own buffer.  A violation planted
     in the last rows is found with the pivot loop's witness."""
     coords = np.array([(x, y) for x in range(15) for y in range(10)], dtype=float)
@@ -516,9 +518,89 @@ def test_threads_share_a_large_triangle_check(planted):
     assert err.value.witness == reference_triangle_witness(dist)
 
 
+def _planted(dist, i, j, excess):
+    out = dist.copy()
+    out[i, j] = out[j, i] = dist[i, j] + excess
+    return out
+
+
+def test_triangle_tiles_cover_every_pair():
+    """One violation planted at each pair i < j of a 13-atom l1 grid is
+    found, on 1 to 4 threads.  Rows 0..11 start pairs, so across these
+    budgets row tiles of 5, 7 or 8 rows leave a partial last row tile, and
+    column tiles of 3, 7, 8 or 12 columns leave partial column tiles."""
+    coords = np.array([(x, y) for x in range(4) for y in range(4)][:13], dtype=float)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    space_mod.validate_metric(dist)
+    for cpus in (1, 4):
+        for budget in (1, 35, 100, 200, 400, 1000):
+            with mock.patch.object(space_mod.os, "sched_getaffinity",
+                                   lambda pid: set(range(cpus))), \
+                    mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", budget):
+                for i, j in zip(*np.triu_indices(13, 1)):
+                    bad = _planted(dist, i, j, 2.5)
+                    want = reference_triangle_witness(bad)
+                    assert want is not None and {want[0], want[2]} == {i, j}
+                    with pytest.raises(MetricViolationError) as err:
+                        space_mod.validate_metric(bad)
+                    assert err.value.witness == want, (cpus, budget, i, j)
+
+
+def test_tied_witnesses_on_threads():
+    """The pair (2, 12) and every pair of atoms 3..11 first violate at
+    pivot 1, in one-pair tiles that 4 threads take in any order.  The
+    thread on row 2 reaches (2, 12) after nine clean tiles, most often
+    after (3, 4) has been found, and the least (i, j) must still win."""
+    dist = np.full((13, 13), 2.0)
+    dist[0, :] = dist[:, 0] = 3.0
+    dist[3:12, 3:12] = dist[2, 12] = dist[12, 2] = 4.5
+    np.fill_diagonal(dist, 0.0)
+    assert reference_triangle_witness(dist) == (2, 1, 12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 1):
+            for _ in range(50):
+                with pytest.raises(MetricViolationError) as err:
+                    space_mod.validate_metric(dist)
+                assert err.value.witness == (2, 1, 12)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_triangle_check_memory_stays_within_its_buffer(cpus):
+    """At n = 600 the check's numpy allocations peak below its buffer of
+    2 * _TRIANGLE_BLOCK_ENTRIES float64 plus one n x n bool array, whether
+    the matrix is a metric, breaks one triangle at a late pivot or breaks
+    most of them; an n x n float array (2.9 MB) would not fit.  numpy's
+    ufunc iterator adds buffers of its own, up to about 130 kB a thread,
+    to each broadcast sum, so the thread count is fixed here."""
+    n = 600
+    line = np.arange(n, dtype=float)
+    valid = np.abs(line[:, None] - line[None, :])
+    late = _planted(valid, n - 3, n - 1, 0.5)
+    noise = np.triu(np.random.default_rng(3).random((n, n)), 1)
+    bound = 2 * space_mod._TRIANGLE_BLOCK_ENTRIES * 8 + n * n
+    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        for dist in (valid, late, noise + noise.T):
+            tracemalloc.start()
+            try:
+                with contextlib.suppress(MetricViolationError):
+                    space_mod.validate_metric(dist)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (peak, bound)
+        with pytest.raises(MetricViolationError) as err:
+            space_mod.validate_metric(late)
+    assert err.value.witness == (n - 3, n - 2, n - 1)
+
+
 class _NumpyFailingInWorkers:
-    """numpy, except that np.minimum raises MemoryError on any thread but
-    the main one; the main thread waits for that first."""
+    """numpy, except that np.add raises MemoryError on any thread but the
+    main one; the main thread waits for that first."""
 
     def __init__(self):
         self.raised = threading.Event()
@@ -526,12 +608,12 @@ class _NumpyFailingInWorkers:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def minimum(self, *args, **kwargs):
+    def add(self, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             self.raised.set()
             raise MemoryError("injected in a validation thread")
         self.raised.wait(timeout=30)
-        return np.minimum(*args, **kwargs)
+        return np.add(*args, **kwargs)
 
 
 def test_triangle_check_worker_error_reaches_the_caller(tmp_path):
