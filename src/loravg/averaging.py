@@ -30,6 +30,13 @@ def holds(lhs, rhs):
     return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
+def check_ratios(lhs, rhs) -> np.ndarray:
+    """lhs / rhs of checks, elementwise: 0 for 0/0 and inf for a positive
+    lhs over 0.  The largest is a run's `worst_ratio`."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    return np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
+
+
 @dataclass(frozen=True)
 class AveragingKernel:
     """The averaging operator at radius r.
@@ -197,7 +204,7 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
         lhs = avg_t[np.searchsorted(-avg_levels, -c * t)]
         rhs = F[np.searchsorted(-levels, -t)] / t
     ok = holds(lhs, rhs)
-    ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
+    ratio = check_ratios(lhs, rhs)
     worst = int(np.lexsort((ratio, ~ok))[-1])  # failing first, then largest ratio
     return DistributionInequalityReport(
         constant_c=c, gammas=gammas, t=float(t[worst]), lhs=float(lhs[worst]),

@@ -248,98 +248,62 @@ def _trial_functions(args, sp, spec) -> list[rearrange.FunctionOnSpace]:
             for _ in range(args.trials)]
 
 
-def _verify_distribution(sp, fs, r, spec) -> tuple[list[dict], float, float]:
+def _trial_check(lemma: str, sp, i: int, f, r: float, spec) -> dict:
+    """The check of one trial function for the lemma distribution,
+    rearrange or operator-bound."""
     from . import averaging
 
-    checks, worst = [], 0.0
-    for i, f in enumerate(fs):
+    if lemma == "distribution":
         rep = averaging.verify_distribution_inequality(sp, f, r, averaging.threshold_sweep(f))
-        checks.append(_check(f"trial-{i}-t-{rep.t:g}", rep.lhs, rep.rhs,
-                             {"c": rep.constant_c}))
-        worst = max(worst, rep.ratio)
-    return checks, worst, rep.constant_c
-
-
-def _verify_rearrange(sp, fs, r, spec) -> tuple[list[dict], float, float]:
-    from . import averaging
-
-    checks, worst = [], 0.0
-    for i, f in enumerate(fs):
+        return _check(f"trial-{i}-t-{rep.t:g}", rep.lhs, rep.rhs, {"c": rep.constant_c})
+    if lemma == "rearrange":
         rep = averaging.verify_rearrangement_bound(sp, f, r)
-        checks.append(_check(f"trial-{i}", rep.max_ratio, rep.constant_c,
-                             {"c": rep.constant_c, "worst_t": rep.worst_t}))
-        worst = max(worst, rep.max_ratio / rep.constant_c)
-    return checks, worst, rep.constant_c
+        return _check(f"trial-{i}", rep.max_ratio, rep.constant_c,
+                      {"c": rep.constant_c, "worst_t": rep.worst_t})
+    rep = averaging.verify_operator_bound(sp, f, r, spec)
+    return _check(f"trial-{i}", rep.lhs, rep.rhs, {"c": rep.constant_c, "factor": rep.factor})
 
 
-def _verify_operator_bound(sp, fs, r, spec) -> tuple[list[dict], float, float]:
-    from . import averaging
-
-    checks, worst = [], 0.0
-    for i, f in enumerate(fs):
-        rep = averaging.verify_operator_bound(sp, f, r, spec)
-        checks.append(_check(f"trial-{i}", rep.lhs, rep.rhs,
-                             {"c": rep.constant_c, "factor": rep.factor}))
-        if rep.rhs > 0:
-            worst = max(worst, rep.lhs / rep.rhs)
-    return checks, worst, rep.constant_c
-
-
-def _worst_pairs(sp, rows, bound, avgs) -> list[tuple[float, int, int, float]]:
-    """Per trial average in avgs, the pair (x, y) with x in the slice rows
-    of largest |A_r f(x) - A_r f(y)| / bound(x, y), as (ratio, x, y, bound),
-    where bound holds those rows of the equicontinuity bound; the first in
-    row-major order among equal ratios; [] if every bound in rows is 0.  A
-    zero bound means equal balls (the diagonal included), where
-    A_r f(x) = A_r f(y) exactly, so only the other pairs count."""
-    pairs = np.flatnonzero(bound > 0)
-    if pairs.size == 0:
-        return []
-    worst = []
-    for avg in avgs:
-        ratio = np.abs(avg[rows, None] - avg[None, :]).flat[pairs] / bound.flat[pairs]
-        j = int(np.argmax(ratio))
-        x, y = divmod(int(pairs[j]), sp.natoms)
-        worst.append((float(ratio[j]), rows.start + x, y, float(bound.flat[pairs[j]])))
-    return worst
-
-
-def _verify_equicontinuity(sp, fs, r, spec) -> tuple[list[dict], float, float | None]:
+def _verify_equicontinuity(sp, fs, r, spec) -> list[dict]:
+    """Per trial, the pair (x, y) of largest |A_r f(x) - A_r f(y)| / bound(x, y),
+    the first in row-major order among equal ratios; then, on the plain
+    diagonal p = q, the exact modulus of every pair (x, x + 1)."""
     from . import averaging
 
     kernel = averaging.AveragingKernel.build(sp, r)
     avgs = [kernel.apply(f).values for f in fs]
     # The bound goes by row blocks; a later block's pair replaces an
-    # earlier one only with a larger ratio, as in one row-major argmax.
+    # earlier one only with a larger ratio, as in one row-major argmax.  A
+    # zero bound means equal balls (the diagonal included), where
+    # A_r f(x) = A_r f(y) exactly, so those pairs rank below every ratio.
     # Each block also gives the bounds of its pairs (x, x + 1).
-    best, adjacent = [], np.empty(sp.natoms - 1)
+    best, adjacent = [(-np.inf, 0, 0, 0.0)] * len(fs), np.empty(sp.natoms - 1)
     for rows in sp.pair_blocks():
         bound = averaging.equicontinuity_bound_matrix(sp, r, spec, rows)
         pairs = np.diagonal(bound, offset=rows.start + 1)
         adjacent[rows.start:rows.start + pairs.size] = pairs
-        block = _worst_pairs(sp, rows, bound, avgs)
-        del bound, pairs  # before the next block's bound is formed
-        if not best:
-            best = block
-        elif block:
-            best = [new if new[0] > old[0] else old for old, new in zip(best, block)]
-    if not best:
+        positive = bound > 0
+        equal = ~positive
+        for i, avg in enumerate(avgs):
+            ratio = avg[rows, None] - avg[None, :]
+            np.abs(ratio, out=ratio)
+            np.divide(ratio, bound, out=ratio, where=positive)
+            ratio[equal] = -np.inf
+            x, y = divmod(int(np.argmax(ratio)), sp.natoms)
+            if ratio[x, y] > best[i][0]:
+                best[i] = (ratio[x, y], rows.start + x, y, float(bound[x, y]))
+        del bound, pairs, positive, equal, ratio  # before the next block's bound is formed
+    if best[0][0] == -np.inf:
         raise CLIError(f"every ball of radius {r:g} is the same atom set, so the "
                        "modulus is identically 0")
-    worst, checks = 0.0, []
-    for i, (ratio, x, y, b) in enumerate(best):
-        worst = max(worst, ratio)
-        checks.append(_check(f"trial-{i}-pair-{x}-{y}", float(abs(avgs[i][x] - avgs[i][y])),
-                             b, {}))
+    checks = [_check(f"trial-{i}-pair-{x}-{y}", abs(avgs[i][x] - avgs[i][y]), b, {})
+              for i, (_, x, y, b) in enumerate(best)]
     if spec.variant == norms.PLAIN and spec.p == spec.q:
         exact = np.concatenate([averaging.adjacent_dual_moduli(sp, r, spec, rows)
                                 for rows in sp.pair_blocks()])
-        for x, (lhs, b) in enumerate(zip(exact, adjacent)):
-            checks.append(_check(f"dual-norm-pair-{x}-{x + 1}", lhs, b, {}))
-        positive = adjacent > 0
-        if positive.any():
-            worst = max(worst, float(np.max(exact[positive] / adjacent[positive])))
-    return checks, worst, None
+        checks += [_check(f"dual-norm-pair-{x}-{x + 1}", lhs, b, {})
+                   for x, (lhs, b) in enumerate(zip(exact, adjacent))]
+    return checks
 
 
 def _cmd_verify(args) -> int:
@@ -347,7 +311,7 @@ def _cmd_verify(args) -> int:
     # rather than after, it leaves the peak RSS of `verify --lemma
     # equicontinuity` on a 400-atom matrix space about 0.4 MB lower (the
     # parse's freed objects no longer sit under the module's).
-    from . import averaging  # noqa: F401
+    from . import averaging
 
     sp = _space_from_args(args)
     spec = _norm_spec(args)
@@ -356,20 +320,18 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise CLIError("--trials must be at least 1")
     fs = _trial_functions(args, sp, spec)
-    handler = {
-        "distribution": _verify_distribution,
-        "rearrange": _verify_rearrange,
-        "operator-bound": _verify_operator_bound,
-        "equicontinuity": _verify_equicontinuity,
-    }[args.lemma]
-    checks, worst_ratio, c = handler(sp, fs, args.r, spec)
+    if args.lemma == "equicontinuity":
+        checks = _verify_equicontinuity(sp, fs, args.r, spec)
+    else:
+        checks = [_trial_check(args.lemma, sp, i, f, args.r, spec) for i, f in enumerate(fs)]
+    ratios = averaging.check_ratios([ch["lhs"] for ch in checks], [ch["rhs"] for ch in checks])
     passed = all(ch["pass"] for ch in checks)
     report = {
         "command": ["verify", "--lemma", args.lemma],
         "inputs": _input_digests(args),
         "lemma": args.lemma,
-        "constant_c": c,
-        "worst_ratio": worst_ratio,
+        "constant_c": checks[-1]["constants"].get("c"),
+        "worst_ratio": float(ratios.max()),
         "checks": checks,
         "pass": passed,
     }
@@ -398,7 +360,7 @@ def _cmd_witness(args) -> int:
         report.update({
             "checked_pairs": m * (m - 1) // 2,
             "min_pairwise": rep.min_pairwise,
-            "distances": [[float(d) for d in row] for row in rep.distances],
+            "distances": rep.distances.tolist(),
             "witness_norms": rep.witness_norms,
             "pass": bool(averaging.holds(rep.c_lower, rep.min_pairwise)),
         })

@@ -317,8 +317,10 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
         rem = FunctionOnSpace(space, np.where(covered, 0.0, g.values))
         return lorentz_norm(rem, spec)
 
+    # The remainder changes only when a ball is kept.
+    remainder = remainder_norm()
     for _, x, radius in candidates:
-        if remainder_norm() <= epsilon / 2.0:
+        if remainder <= epsilon / 2.0:
             break
         if covered[x]:
             continue
@@ -336,11 +338,12 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
         coefficients.append(float(g.values[x]))
         simple[mask] = g.values[x]
         covered |= mask
+        remainder = remainder_norm()
     approx = FunctionOnSpace(space, simple)
     return SimpleApproximation(centers=centers, radii=radii,
                                coefficients=coefficients, function=approx,
                                error=norm_distance(g, approx, spec),
-                               remainder_norm=remainder_norm())
+                               remainder_norm=remainder)
 
 
 @dataclass(frozen=True)

@@ -593,17 +593,21 @@ class MetricMeasureSpace:
 _MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a MemoryError
 
 
+_NOT_NUMBERS = frozenset((bool, str))
+
+
 def json_floats(raw) -> np.ndarray:
     """raw, a value parsed from JSON, as a float array.  TypeError,
-    ValueError or OverflowError if an entry is not a number, a string
-    included: numpy itself would parse "1" as 1.0.  The dtype is inferred
-    first, so only an object array, of nulls or of integers too large for
-    int64, has its entries scanned in Python."""
-    array = np.asarray(raw)
-    if array.dtype.kind in "SU" or (array.dtype == object
-                                    and any(isinstance(v, str) for v in array.flat)):
-        raise TypeError("a string is not a number")
-    return array.astype(float, copy=False)
+    ValueError or OverflowError if an entry is not a number, a string or a
+    boolean included: numpy itself would parse "1" and true as 1.0.  The
+    entries are read at the depth of raw's first ones, in one pass of C
+    calls; an entry at another depth fails the pass or numpy."""
+    entries, first = [raw], raw
+    while type(first) is list and first:
+        entries, first = itertools.chain.from_iterable(entries), first[0]
+    if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
+        raise TypeError("a string or a boolean is not a number")
+    return np.asarray(raw, dtype=float)
 
 
 def _floats(raw, key: str) -> np.ndarray:

@@ -156,6 +156,49 @@ def test_verify_all_lemmas_pass(capsys, tmp_path):
         assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("lemma", ["distribution", "rearrange", "operator-bound",
+                                   "equicontinuity"])
+def test_verify_worst_ratio_and_c_come_from_the_checks(capsys, tmp_path, lemma):
+    """worst_ratio is the largest lhs / rhs over the checks (0 for 0/0, inf
+    for a positive lhs over 0), and constant_c is the space's c, null for
+    equicontinuity, whose checks carry no c."""
+    from loravg.averaging import distribution_constant
+
+    spec = {"kind": "cloud", "metric": "l1", "weights": [1, 2, 0.5, 1, 3, 1, 0.25],
+            "coords": [[x] for x in (0, 0.4, 1.1, 1.5, 3, 3.2, 4)]}
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps(spec))
+    code, out = run(capsys, "verify", "--lemma", lemma, "--space", str(space), "--r", "1",
+                    "--p", "2", "--q", "2", "--seed", "5", "--trials", "4")
+    assert code == 0
+    payload = json.loads(out)
+    ratios = [ch["lhs"] / ch["rhs"] if ch["rhs"] > 0 else math.inf if ch["lhs"] > 0 else 0.0
+              for ch in payload["checks"]]
+    assert payload["worst_ratio"] == max(ratios) > 0
+    c = distribution_constant(loravg.build_space(spec), 1.0)[0]
+    assert payload["constant_c"] == (None if lemma == "equicontinuity" else c)
+
+
+def test_equicontinuity_ties_go_to_the_first_pair_in_row_major_order(monkeypatch):
+    """On singleton balls of equal weight every pair of distinct atoms has
+    the same bound, so (0, 3) and (3, 0), of the largest |f(x) - f(y)|,
+    tie.  With one row per pair block they sit in different blocks, and
+    the earlier pair is reported."""
+    from loravg import space as space_mod
+    from loravg.averaging import equicontinuity_bound_matrix
+
+    sp = loravg.build_space({"kind": "cloud", "metric": "l1", "coords": [[0], [1], [2], [3]]})
+    f = loravg.FunctionOnSpace(sp, [1.0, 0.25, -0.5, -1.0])
+    spec = loravg.NormSpec(3, 2)
+    bound = equicontinuity_bound_matrix(sp, 0.5, spec)
+    assert bound[0, 3] == bound[3, 0] > 0
+    monkeypatch.setattr(space_mod, "_PAIR_BLOCK_ENTRIES", 1)
+    assert len(sp.pair_blocks()) == 4
+    check, = _verify_equicontinuity(sp, [f], 0.5, spec)
+    assert check["name"] == "trial-0-pair-0-3"
+    assert (check["lhs"], check["rhs"]) == (2.0, bound[0, 3])
+
+
 def test_verify_missing_seed_is_usage_error(capsys, space_file):
     code, _ = run(capsys, "verify", "--lemma", "distribution", "--space", space_file,
                   "--r", "1", "--p", "2", "--q", "2")
@@ -517,11 +560,17 @@ _PAIR = [[0, 1], [1, 0]]
     ({"kind": "matrix", "dist": _PAIR}, ["2", 1], None),
     ({"kind": "matrix", "dist": _PAIR}, [2 ** 64, "1"], None),
     ({"kind": "matrix", "dist": _PAIR}, [10 ** 400, 1], None),
+    ({"kind": "matrix", "dist": [[0, True], [1, 0]]}, [2, 1], "dist"),
+    ({"kind": "matrix", "dist": _PAIR, "weights": [True, 2]}, [2, 1], "weights"),
+    ({"kind": "cloud", "coords": [[0, False], [1, 0.5]]}, [2, 1], "coords"),
+    ({"kind": "graph", "n": 2, "edges": [[0, 1, True]]}, [2, 1], "edges"),
+    ({"kind": "matrix", "dist": _PAIR}, [True, 2], None),
+    ({"kind": "matrix", "dist": _PAIR}, [True, False], None),
 ])
 def test_strings_in_numeric_fields_exit_2(tmp_path, space, values, field):
-    """numpy parses "1" as 1.0, and an integer past the float range raised
-    OverflowError; either is a malformed input, as "3" is for a size.  The
-    space field, or else the function values, is named."""
+    """numpy parses "1" and true as 1.0, and an integer past the float range
+    raised OverflowError; each is a malformed input, as "3" is for a size.
+    The space field, or else the function values, is named."""
     space_path, fn_path = tmp_path / "space.json", tmp_path / "fn.json"
     space_path.write_text(json.dumps(space))
     fn_path.write_text(json.dumps({"values": values}))

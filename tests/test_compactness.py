@@ -220,6 +220,31 @@ def test_simple_approximation_honest_on_rough_input():
     assert rep.error >= 0.0  # reported as achieved, no epsilon guarantee
 
 
+def test_simple_approximation_norms_the_remainder_once_per_kept_ball(monkeypatch):
+    """The remainder changes only when a ball is kept, so beside the norm
+    of chi_X the scan takes at most one norm per kept ball plus two: the
+    first remainder and the error.  The remainder reported is the last."""
+    from loravg import compactness
+
+    sp = MetricMeasureSpace.lattice(60)
+    g = FunctionOnSpace(sp, np.sin(np.arange(61) / 20.0))
+    calls = []
+
+    def counted(f, spec):
+        calls.append(f)
+        return lorentz_norm(f, spec)
+
+    monkeypatch.setattr(compactness, "lorentz_norm", counted)
+    rep = simple_approximation(sp, g, 1.0, SPEC)
+    covered = np.zeros(sp.natoms, bool)
+    for c, r in zip(rep.centers, rep.radii):
+        covered |= sp.ball_mask(c, r)
+    assert len(rep.centers) >= 2 and not covered.all()
+    assert len(calls) - 1 <= len(rep.centers) + 2
+    remainder = FunctionOnSpace(sp, np.where(covered, 0.0, g.values))
+    assert rep.remainder_norm == lorentz_norm(remainder, SPEC)
+
+
 def test_probe_rows_and_monotonicity():
     spaces = [MetricMeasureSpace.lattice(8)]
     rows = compactness_probe(spaces, 1.0, SPEC, 10.0, 30, 3)

@@ -39,14 +39,19 @@ def test_one_json_writer_in_package():
     assert offenders == []
 
 
+def _module_at(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_span_table_names_resolve():
     """Every name that bench/spans.py wraps by string still exists, so a
     rename or deletion in src/ fails here, not in `bench/run.py --trace 1`;
     and the wrappers it installs are all taken out again."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _module_at(Path(__file__).resolve().parent.parent / "bench" / "spans.py",
+                       "bench_spans")
     originals, missing = {}, []
     for entries in spans.LAYERS.values():
         for module_name, functions, classes in entries:
@@ -65,6 +70,29 @@ def test_bench_span_table_names_resolve():
     restore()
     assert [q for q, (owner, name, raw) in originals.items()
             if vars(owner)[name] is not raw] == []
+
+
+def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):
+    """Every command of both benchmark workloads, at one seed, run as a
+    fresh CLI process, passes bench/oracle.py's independent check: an
+    output that the benchmark would count as incorrect fails here."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    workloads = _module_at(bench / "workloads.py", "workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # oracle.py imports it by name
+    oracle = _module_at(bench / "oracle.py", "bench_oracle")
+    src = str(Path(loravg.__file__).resolve().parent.parent)
+    ran, problems = 0, []
+    for name in sorted(workloads.WORKLOADS):
+        files = workloads.generate(name, 3, tmp_path / name)
+        expected = oracle.expected(name, files, 3)
+        for argv in workloads.commands(name, files, 3):
+            res = subprocess.run([sys.executable, "-m", "loravg.cli", *argv],
+                                 capture_output=True, text=True, timeout=120,
+                                 env={"PYTHONPATH": src, "PATH": ""})
+            outcome = oracle.Outcome(argv, res.returncode, res.stdout, res.stderr)
+            ran += 1
+            problems += [(name, argv, p) for p in oracle.check(name, outcome, expected)]
+    assert ran == 9 and problems == []
 
 
 _LAZY_GUARD = """

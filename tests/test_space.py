@@ -775,7 +775,7 @@ def test_blocked_equicontinuity_bound_matches_dense(sp, data):
               for _ in range(data.draw(st.integers(1, 3)))]
         try:
             checks = [(ch["name"].split("-", 2)[2], ch["lhs"], ch["rhs"], ch["pass"])
-                      for ch in _verify_equicontinuity(sp, fs, r, spec)[0]][:len(fs)]
+                      for ch in _verify_equicontinuity(sp, fs, r, spec)][:len(fs)]
         except CLIError:
             checks = None
     assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
