@@ -12,6 +12,12 @@ Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
 witness pair exists), 1 a contract failed (report still emitted), 2 usage
 or input error, including an input too large for the memory at hand.
+
+A command reads its --space file and packs the file's float fields
+(`decode.pack_floats`) before it imports numpy or any numeric module of
+the package, which the handlers import where they need them: numpy's
+import then reuses the memory that the parse's float objects held, and a
+command loads only what it runs.
 """
 
 import argparse
@@ -20,15 +26,21 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-# averaging, compactness and svgplot are imported by the handlers that use
-# them, so that a command loads only what it runs.  The input digests take
-# the interpreter's built-in SHA-256 (see _sha256), because hashlib loads
-# OpenSSL's libcrypto, about 3.4 MB of resident memory.
-from . import norms, rearrange, space as space_mod
+# No hashlib: the input digests take the interpreter's built-in SHA-256 (see
+# _sha256), because hashlib loads OpenSSL's libcrypto, about 3.4 MB of
+# resident memory.
+from .decode import pack_floats
 from .errors import DomainError, MetricViolationError, NotInSpaceError
+
+if TYPE_CHECKING:
+    from .norms import NormSpec
+    from .rearrange import FunctionOnSpace
+    from .space import MetricMeasureSpace
+
+# The float fields of a space description (see `space.build_space`).
+_SPACE_FLOAT_FIELDS = ("dist", "weights", "coords")
 
 
 class CLIError(Exception):
@@ -141,24 +153,49 @@ def _parse_exponent(raw: str) -> float:
         raise CLIError(f"not a number: {raw!r}")
 
 
-def _space_from_args(args) -> space_mod.MetricMeasureSpace:
-    return space_mod.build_space(_load_json(args.space))
+def _load_space(path: str):
+    """The parsed space file, its float fields packed where they convert.
+    A field left as parsed fails in `build_space`, in its own order."""
+    spec = _load_json(path)
+    if isinstance(spec, dict):
+        for key in _SPACE_FLOAT_FIELDS:
+            if type(spec.get(key)) is list:
+                packed = pack_floats(spec[key])
+                if packed is not None:
+                    spec[key] = packed
+    return spec
 
 
-def _function_from_args(args, sp) -> rearrange.FunctionOnSpace:
+def _space_from_args(args) -> "MetricMeasureSpace":
+    spec = _load_space(args.space)
+    from .space import build_space
+
+    return build_space(spec)
+
+
+def _function_from_args(args, sp) -> "FunctionOnSpace":
+    from .rearrange import FunctionOnSpace
+
     payload = _load_json(args.fn)
     if not isinstance(payload, dict) or "values" not in payload:
         raise CLIError("function JSON must be an object with a 'values' field")
-    try:
-        values = space_mod.json_floats(payload["values"])
-    except (TypeError, ValueError, OverflowError):
+    values = pack_floats(payload["values"])
+    if values is None:
         raise CLIError(f"function values in {args.fn} must be numbers")
-    return rearrange.FunctionOnSpace(sp, values)
+    return FunctionOnSpace(sp, values)
 
 
-def _norm_spec(args) -> norms.NormSpec:
-    return norms.NormSpec(_parse_exponent(args.p), _parse_exponent(args.q),
-                          args.variant)
+def _norm_spec(args) -> "NormSpec":
+    from .norms import NormSpec
+
+    return NormSpec(_parse_exponent(args.p), _parse_exponent(args.q), args.variant)
+
+
+def _checked_seed(seed: int) -> int:
+    """seed, if numpy's generators take it: they refuse a negative one."""
+    if seed < 0:
+        raise CLIError(f"--seed must be nonnegative, not {seed}")
+    return seed
 
 
 def _input_digests(args) -> dict:
@@ -194,6 +231,8 @@ def _cmd_build_space(args) -> int:
 
 def _cmd_norm(args) -> int:
     sp = _space_from_args(args)
+    from . import norms
+
     f = _function_from_args(args, sp)
     spec = _norm_spec(args)
     value = norms.lorentz_norm(f, spec)
@@ -203,6 +242,8 @@ def _cmd_norm(args) -> int:
 
 def _cmd_rearrange(args) -> int:
     sp = _space_from_args(args)
+    from . import rearrange
+
     f = _function_from_args(args, sp)
     if args.distribution:
         sf, title = rearrange.distribution_function(f), "distribution function"
@@ -217,9 +258,9 @@ def _cmd_rearrange(args) -> int:
 
 
 def _cmd_avg(args) -> int:
+    sp = _space_from_args(args)
     from . import averaging
 
-    sp = _space_from_args(args)
     f = _function_from_args(args, sp)
     if not args.r > 0:
         raise CLIError("--r must be positive")
@@ -227,25 +268,30 @@ def _cmd_avg(args) -> int:
     return 0
 
 
-def _trial_functions(args, sp, spec) -> list[rearrange.FunctionOnSpace]:
+def _trial_functions(args, sp, spec) -> list["FunctionOnSpace"]:
+    from .norms import lorentz_norm
+    from .rearrange import FunctionOnSpace
+
     if args.fn:
         f = _function_from_args(args, sp)
         if args.lemma != "equicontinuity":
             return [f]
         # The modulus bounds A_r f over the unit ball, so f is scaled to unit norm.
-        norm = norms.lorentz_norm(f, spec)
+        norm = lorentz_norm(f, spec)
         if norm == 0.0:
             raise CLIError("the equicontinuity modulus needs a nonzero --fn")
         return [f * (1.0 / norm)]
     if args.seed is None:
         raise CLIError("randomized run: --seed is mandatory when --fn is omitted")
+    seed = _checked_seed(args.seed)
     if args.lemma == "equicontinuity":
         from .compactness import sample_unit_sphere
 
-        return sample_unit_sphere(sp, spec, args.trials, args.seed)
-    rng = np.random.default_rng(args.seed)
-    return [rearrange.FunctionOnSpace(sp, rng.standard_normal(sp.natoms))
-            for _ in range(args.trials)]
+        return sample_unit_sphere(sp, spec, args.trials, seed)
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return [FunctionOnSpace(sp, rng.standard_normal(sp.natoms)) for _ in range(args.trials)]
 
 
 def _trial_check(lemma: str, sp, i: int, f, r: float, spec) -> dict:
@@ -268,7 +314,9 @@ def _verify_equicontinuity(sp, fs, r, spec) -> list[dict]:
     """Per trial, the pair (x, y) of largest |A_r f(x) - A_r f(y)| / bound(x, y),
     the first in row-major order among equal ratios; then, on the plain
     diagonal p = q, the exact modulus of every pair (x, x + 1)."""
-    from . import averaging
+    import numpy as np
+
+    from . import averaging, norms
 
     kernel = averaging.AveragingKernel.build(sp, r)
     avgs = [kernel.apply(f).values for f in fs]
@@ -307,13 +355,9 @@ def _verify_equicontinuity(sp, fs, r, spec) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    # Every lemma runs averaging.  Imported before the space file is parsed
-    # rather than after, it leaves the peak RSS of `verify --lemma
-    # equicontinuity` on a 400-atom matrix space about 0.4 MB lower (the
-    # parse's freed objects no longer sit under the module's).
+    sp = _space_from_args(args)
     from . import averaging
 
-    sp = _space_from_args(args)
     spec = _norm_spec(args)
     if not args.r > 0:
         raise CLIError("--r must be positive")
@@ -340,9 +384,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    sp = _space_from_args(args)
     from . import averaging, compactness
 
-    sp = _space_from_args(args)
     spec = _norm_spec(args)
     rep = compactness.witness_sequence(sp, args.r, args.k, spec)
     # The bounded regime has no witness pair, so no inequality is checked.
@@ -387,16 +431,18 @@ def _parse_family(raw: str) -> list[int]:
 
 def _cmd_probe(args) -> int:
     from . import compactness, svgplot
+    from .space import MetricMeasureSpace
 
     if args.seed is None:
         raise CLIError("randomized run: --seed is mandatory")
+    seed = _checked_seed(args.seed)
     sizes = _parse_family(args.family)
     spec = _norm_spec(args)
     # Each lattice is built when its row is computed, so the probe holds one
     # space, with its memos, at a time.
-    spaces = (space_mod.MetricMeasureSpace.lattice(L) for L in sizes)
+    spaces = (MetricMeasureSpace.lattice(L) for L in sizes)
     rows = compactness.compactness_probe(spaces, args.r, spec, args.epsilon,
-                                         args.n, args.seed, labels=map(str, sizes))
+                                         args.n, seed, labels=map(str, sizes))
     lines = ["L,k,witness_count,witness_min,c_lower"]
     for row in rows:
         wmin = "" if row.witness_min is None else repr(row.witness_min)
@@ -413,9 +459,9 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    sp = _space_from_args(args)
     from . import compactness
 
-    sp = _space_from_args(args)
     f = _function_from_args(args, sp)
     spec = _norm_spec(args)
     rep = compactness.simple_approximation(sp, f, args.epsilon, spec)
@@ -437,8 +483,9 @@ def _cmd_approx(args) -> int:
 def _add_norm_flags(p) -> None:
     p.add_argument("--p", required=True, help="first Lorentz exponent (number or inf)")
     p.add_argument("--q", required=True, help="second Lorentz exponent (number or inf)")
-    p.add_argument("--variant", default=norms.PLAIN,
-                   choices=[norms.PLAIN, norms.DOUBLE_STAR])
+    # norms.PLAIN and norms.DOUBLE_STAR, named here so that parsing the
+    # arguments imports no numeric module.
+    p.add_argument("--variant", default="plain", choices=["plain", "double-star"])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,15 +11,17 @@ Every decision about how a ball is stored and summed is made here, in the
 ball layer of `MetricMeasureSpace` (`distance_row`, `ball_mask`,
 `ball_blocks`, `ball_measures`); the averaging operator and the checks
 read balls only through it.  A matrix space holds its full distance
-matrix.  A line space (a cloud of dimension 1, or a lattice) keeps its
-coordinates and their sort order instead, and forms the matrix only when
-`dist` is first read.  There a ball is a run of consecutive atoms in
-coordinate order (`ball_runs`), so the layer needs O(n) memory and no
-n x n array.  Spaces are immutable, so each space keeps one memo per
-radius, read-only: the runs of a line space (by sorted position and by
-atom) and the ball measures of either form are computed once, and every
-ball measure is read from it.  The compensated prefix sums of a line
-space's weights do not depend on the radius and are computed once.
+matrix, and the layer forms its balls and their products in row blocks
+and column tiles of about 256 kB of float64.  A line space (a cloud of
+dimension 1, or a lattice) keeps its coordinates and their sort order
+instead, and forms the matrix only when `dist` is first read.  There a
+ball is a run of consecutive atoms in coordinate order (`ball_runs`), so
+the layer needs O(n) memory and no n x n array.  Spaces are immutable, so
+each space keeps one memo per radius, read-only: the runs of a line space
+(by sorted position and by atom) and the ball measures of either form are
+computed once, and every ball measure is read from it.  The compensated
+prefix sums of a line space's weights do not depend on the radius and are
+computed once.
 """
 
 import bisect
@@ -32,16 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decode import pack_floats
 from .errors import DomainError, MetricViolationError
 
 DEFAULT_MAX_ATOMS = 5000
 MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 
-# Entries per block of balls (see `ball_blocks`): 2 MB of float64.
+# Entries per block of a line space's balls (see `ball_blocks`): 2 MB of
+# float64.  On a 4000-atom cloud with balls of about 1000 atoms, blocks of
+# 2^15 entries took twice as long for the same means, with other bits.
 _BLOCK_ENTRIES = 1 << 18
 
-# Pairs (x, y) per row block of pair measures (see `pair_blocks`): 256 kB
-# of float64.
+# Entries per block of a matrix space's balls (see `ball_blocks`) and pairs
+# (x, y) per block or tile of pair measures (see `pair_blocks`): 256 kB of
+# float64, the size of every float operand those blocks form.
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
 # Half the float64 entries of the triangle check's buffer, summed over its
@@ -363,19 +369,23 @@ class MetricMeasureSpace:
         """Yield (rows, cols, inside), a block of balls at a time: inside[i, j]
         says whether atom cols[j] lies in B(rows[i], r).  Every atom is in
         exactly one block's rows, and no ball reaches outside its block's
-        cols.  A block has at most about _BLOCK_ENTRIES entries.
+        cols.
 
-        A matrix space yields row slices of dist <= r over all columns.  On
-        a line space the ball of the atom at sorted position s is the run
-        [lo[s], hi[s]) (see `ball_runs`), and both ends grow with s.  So a
-        block of sorted positions [a, b) needs only the columns
-        [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest run), and
-        rows per block grow with the longest run.
+        A matrix space yields row slices of dist <= r over all columns,
+        about _PAIR_BLOCK_ENTRIES entries each, in a multiple of four rows:
+        BLAS sums the rows of a product four at a time and a leftover row
+        in another order, so each row keeps the bits it has in the product
+        over all rows.  On a line space the ball of the atom at sorted
+        position s is the run [lo[s], hi[s]) (see `ball_runs`), and both
+        ends grow with s.  So a block of sorted positions [a, b) needs only
+        the columns [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest
+        run), and rows per block, with at most about _BLOCK_ENTRIES
+        entries, grow with the longest run.
         """
         _check_radius(r)
         n = self.natoms
         if self.coords is None:
-            step = max(1, _BLOCK_ENTRIES // n)
+            step = max(4, _PAIR_BLOCK_ENTRIES // n // 4 * 4)
             for a in range(0, n, step):
                 yield slice(a, a + step), slice(None), self.dist[a:a + step] <= r
             return
@@ -417,21 +427,23 @@ class MetricMeasureSpace:
         return out
 
     def pair_blocks(self) -> list[slice]:
-        """Consecutive slices of atoms covering all of them: the row blocks
-        in which `symm_diff_measures` sums.  A block holds about
-        _PAIR_BLOCK_ENTRIES pairs (x, y).  On a matrix space it holds at
-        least n^2 / 16, because each block also converts two n x n masks
-        to floats for its products, and at least two rows when n > 1:
-        numpy multiplies a one-row block with another kernel (gemv), whose
-        sums round differently from the whole matrix product's."""
+        """Consecutive slices of atoms covering all of them, of lengths
+        that differ by at most one: the row blocks in which
+        `symm_diff_measures` sums, and on a matrix space its column tiles
+        too.  A block holds about _PAIR_BLOCK_ENTRIES pairs (x, y).
+
+        On a matrix space a block holds at least n / 16 rows, so that BLAS
+        sums each tile's product as it sums the product over all columns:
+        it takes another kernel for small products, whose sums round
+        differently.  For the same reason a block holds at least two rows:
+        numpy multiplies a one-row block with the matrix-vector kernel."""
         n = self.natoms
         step = max(1, _PAIR_BLOCK_ENTRIES // n)
+        count = -(-n // step)
         if self.coords is None:
-            step = max(step, -(-n // 16), 2)
-        ends = [*range(step, n, step), n]
-        if self.coords is None and len(ends) > 1 and ends[-1] - ends[-2] == 1:
-            del ends[-2]  # the last row joins the block before it
-        return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+            count = max(1, min(count, 16, n // 2))
+        bounds = [n * i // count for i in range(count + 1)]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def symm_diff_measures(self, r: float, rows: slice = slice(None)) -> np.ndarray:
         """mu(B(x, r) symm-diff B(y, r)) for the atoms x in the slice rows
@@ -440,21 +452,29 @@ class MetricMeasureSpace:
 
         A matrix space sums mu(B(x) \\ B(y)) and mu(B(y) \\ B(x)) over the
         atoms z as masked row products w_z [z in B(x)] [z not in B(y)],
-        without cancellation.  It forms whole `pair_blocks` and slices the
-        rows out of them, so a row's bits do not depend on which rows are
-        asked for.  On a line space both balls are runs (see `ball_runs`)
-        and so is each of the at most two pieces of their difference; a
-        piece is a difference of compensated prefix sums of the weights in
-        sorted order, which needs no n x n array.
+        without cancellation.  It forms whole `pair_blocks`, a tile of
+        `pair_blocks` columns at a time, and slices the rows out of them,
+        so a row's bits do not depend on which rows are asked for, and no
+        float operand is larger than a tile.  At one BLAS thread a tile
+        has the bits of the product over all columns.  On a line space
+        both balls are runs (see `ball_runs`) and so is each of the at most
+        two pieces of their difference; a piece is a difference of
+        compensated prefix sums of the weights in sorted order, which needs
+        no n x n array.
         """
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
         if self.coords is None:
-            masks, weights = self.ball_masks(r), self.weights
-            blocks = [b for b in self.pair_blocks() if b.start < stop and b.stop > start]
-            out = np.concatenate([(masks[b] * weights) @ ~masks.T
-                                  + ((masks * weights) @ ~masks[b].T).T for b in blocks])
-            return out[start - blocks[0].start:stop - blocks[0].start]
+            masks, weights, tiles = self.ball_masks(r), self.weights, self.pair_blocks()
+            blocks = [b for b in tiles if b.start < stop and b.stop > start]
+            first = blocks[0].start
+            out = np.empty((blocks[-1].stop - first, self.natoms))
+            for b in blocks:
+                inside, outside = masks[b] * weights, ~masks[b]
+                for c in tiles:
+                    out[b.start - first:b.stop - first, c] = (
+                        inside @ ~masks[c].T + outside @ (masks[c] * weights).T)
+            return out[start - first:stop - first]
         lo, hi = self._atom_runs(r)
         prefix = self._weight_prefix
         # Runs [lo_x, hi_x) and [lo_y, hi_y) differ in [min lo, min(max lo, min hi))
@@ -515,7 +535,7 @@ class MetricMeasureSpace:
         order.  Since y_k - x_k = -(x_k - y_k) exactly and x_k - x_k = 0,
         the result is exactly symmetric with a zero diagonal.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] == 0:
             raise DomainError("coords must be a 2-D array of points with coordinates")
         if metric not in ("euclidean", "l1", "linf"):
@@ -560,7 +580,7 @@ class MetricMeasureSpace:
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import shortest_path
 
-        edges = _floats(edges, "edges")
+        edges = np.asarray(edges, dtype=float)
         if edges.size and edges.shape[1:] != (3,):
             raise DomainError("edges must be (u, v, weight) triples")
         edges = edges.reshape(-1, 3)
@@ -593,29 +613,13 @@ class MetricMeasureSpace:
 _MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a MemoryError
 
 
-_NOT_NUMBERS = frozenset((bool, str))
-
-
-def json_floats(raw) -> np.ndarray:
-    """raw, a value parsed from JSON, as a float array.  TypeError,
-    ValueError or OverflowError if an entry is not a number, a string or a
-    boolean included: numpy itself would parse "1" and true as 1.0.  The
-    entries are read at the depth of raw's first ones, in one pass of C
-    calls; an entry at another depth fails the pass or numpy."""
-    entries, first = [raw], raw
-    while type(first) is list and first:
-        entries, first = itertools.chain.from_iterable(entries), first[0]
-    if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
-        raise TypeError("a string or a boolean is not a number")
-    return np.asarray(raw, dtype=float)
-
-
 def _floats(raw, key: str) -> np.ndarray:
-    """raw, the space field key, as a float array; DomainError if it does not convert."""
-    try:
-        return json_floats(raw)
-    except (TypeError, ValueError, OverflowError):
+    """raw, the space field key as parsed from JSON or packed by
+    `pack_floats`, as a float array; DomainError if it does not convert."""
+    packed = pack_floats(raw)
+    if packed is None:
         raise DomainError(f"space field {key!r} is not numeric")
+    return np.asarray(packed)
 
 
 def _size_field(spec: dict, key: str) -> int:
@@ -658,8 +662,8 @@ def build_space(spec: dict) -> MetricMeasureSpace:
     if kind == "graph":
         if "n" not in spec or "edges" not in spec:
             raise DomainError("graph space needs 'n' and 'edges' fields")
-        return MetricMeasureSpace.from_graph(_size_field(spec, "n"), spec["edges"],
-                                             weights=weights)
+        return MetricMeasureSpace.from_graph(_size_field(spec, "n"),
+                                             _floats(spec["edges"], "edges"), weights=weights)
     raise DomainError(f"unknown space kind {kind!r}")
 
 

@@ -51,13 +51,13 @@ def test_average_examples():
 @settings(max_examples=200, deadline=None)
 @given(matrix_cases(), st.sampled_from([1, 3, 40, 1 << 18]), st.booleans())
 def test_matrix_kernel_blocks_match_the_full_product(case, block, columns):
-    """A matrix space's kernel a block of rows at a time (one row per
+    """A matrix space's kernel a block of rows at a time (four rows per
     block up to all rows in one) against the whole product.  matrix_cases
     builds a new space per example, so no ball measures memoized under
     another block size stand in for the patched path."""
     sp, f, r = case
     values = np.column_stack((f.values, f.values[::-1])) if columns else f.values
-    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block):
+    with mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", block):
         kernel = AveragingKernel.build(sp, r)
         means = kernel.means(values)
     matrix = (sp.dist <= r) * sp.weights / kernel.ball_measures[:, None]

@@ -205,6 +205,21 @@ def test_verify_missing_seed_is_usage_error(capsys, space_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    *[["verify", "--lemma", lemma, "--space", "SPACE", "--r", "1", "--p", "2", "--q", "2"]
+      for lemma in ("distribution", "rearrange", "operator-bound", "equicontinuity")],
+    ["probe", "--family", "lattice:4", "--r", "1", "--p", "2", "--q", "2",
+     "--epsilon", "0.5", "--n", "3"],
+], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
+def test_negative_seed_is_usage_error(space_file, argv):
+    """numpy refuses a negative seed with a ValueError, which was a
+    traceback and exit 1; it is a usage error, found before any draw."""
+    argv = [space_file if arg == "SPACE" else arg for arg in argv]
+    code, err = _dispatch_quietly([*argv, "--seed", "-1"])
+    assert code == 2
+    assert err.startswith("error: --seed must be nonnegative, not -1"), err
+
+
 def test_verify_contract_failure_exits_one(capsys, tmp_path, monkeypatch, space_file):
     from loravg import averaging
     from loravg.averaging import OperatorBoundReport

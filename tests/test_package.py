@@ -126,24 +126,26 @@ print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("lorav
                   "_hashlib" in sys.modules]), file=sys.stderr)
 """
 
-# cli imports errors, norms, rearrange and space for every command.
-_CLI_MODULES = ["cli", "errors", "norms", "rearrange", "space"]
+# Every command below loads cli, decode, errors and space; one that reads a
+# function or a norm spec also loads norms and rearrange.
+_CLI_MODULES = ["cli", "decode", "errors", "space"]
+_NORMS = ["norms", "rearrange"]
 _P2_Q2 = ["--p", "2", "--q", "2"]
 # name -> (argv, the package modules it loads beyond _CLI_MODULES, whether
 # it loads _hashlib).  Only numpy.random, which a seeded run draws from,
 # brings in hashlib and with it OpenSSL; the input digests do not.
 _COMMAND_IMPORTS = {
     "build-space": (["build-space", "--space", "SPACE"], [], False),
-    "avg": (["avg", "--space", "SPACE", "--fn", "FN", "--r", "1"], ["averaging"], False),
-    "norm": (["norm", "--space", "SPACE", "--fn", "FN", *_P2_Q2], [], False),
+    "avg": (["avg", "--space", "SPACE", "--fn", "FN", "--r", "1"], ["averaging", *_NORMS], False),
+    "norm": (["norm", "--space", "SPACE", "--fn", "FN", *_P2_Q2], _NORMS, False),
     "witness": (["witness", "--space", "SPACE", "--r", "1", "--k", "3", *_P2_Q2],
-                ["averaging", "compactness"], False),
+                ["averaging", "compactness", *_NORMS], False),
     "approx": (["approx", "--space", "SPACE", "--fn", "FN", "--epsilon", "0.5", *_P2_Q2],
-               ["averaging", "compactness"], False),
+               ["averaging", "compactness", *_NORMS], False),
     "verify --fn": (["verify", "--lemma", "operator-bound", "--space", "SPACE", "--fn", "FN",
-                     "--r", "1", *_P2_Q2], ["averaging"], False),
+                     "--r", "1", *_P2_Q2], ["averaging", *_NORMS], False),
     "verify --seed": (["verify", "--lemma", "distribution", "--space", "SPACE", "--seed", "1",
-                       "--trials", "1", "--r", "1", *_P2_Q2], ["averaging"], True),
+                       "--trials", "1", "--r", "1", *_P2_Q2], ["averaging", *_NORMS], True),
 }
 
 
@@ -156,11 +158,12 @@ def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
 
 
 def test_package_names_are_lazy():
-    """`import loravg` loads no submodule and `build_space` only the two it
-    needs; every public name still resolves, and an unknown one is an
+    """`import loravg` loads no submodule and `build_space` only the three
+    it needs; every public name still resolves, and an unknown one is an
     AttributeError."""
     report = json.loads(_run_fresh(_LAZY_GUARD).stdout)
-    assert report == {"on_import": [], "after_build_space": ["loravg.errors", "loravg.space"],
+    assert report == {"on_import": [],
+                      "after_build_space": ["loravg.decode", "loravg.errors", "loravg.space"],
                       "unresolved": [], "not_in_dir": [], "unknown": "AttributeError"}
 
 
@@ -179,6 +182,45 @@ def test_commands_import_only_what_they_run(tmp_path):
         seen[name] = json.loads(res.stderr.strip().splitlines()[-1])
         expected[name] = [0, sorted(_CLI_MODULES + modules), openssl]
     assert seen == expected
+
+
+# A fresh process runs one command with the space file's reader wrapped, and
+# reports on stderr its exit code and, per read, whether numpy was loaded
+# once the file had been parsed and its float fields packed.
+_DECODE_GUARD = """
+import contextlib, io, json, sys
+from loravg import cli
+load_space, loaded = cli._load_space, []
+
+def spy(path):
+    spec = load_space(path)
+    loaded.append("numpy" in sys.modules)
+    return spec
+
+cli._load_space = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
+def test_space_file_is_decoded_before_numpy_loads(tmp_path):
+    """numpy's import reuses the memory of the parse only if it comes after
+    the float fields are packed: each command reads its space file, a
+    matrix here, with numpy not yet loaded."""
+    space, fn = tmp_path / "space.json", tmp_path / "fn.json"
+    space.write_text(json.dumps({"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                                 "weights": [1.0, 0.5, 2.0]}))
+    fn.write_text(json.dumps({"values": [0.5, -1, 2]}))
+    common = ["--space", str(space), "--r", "1", "--p", "2", "--q", "2"]
+    commands = {"build-space": ["build-space", "--space", str(space)],
+                "avg": ["avg", "--space", str(space), "--fn", str(fn), "--r", "1"],
+                "verify": ["verify", "--lemma", "equicontinuity", "--seed", "1", *common],
+                "witness": ["witness", "--k", "2", *common]}
+    seen = {name: json.loads(_run_fresh(_DECODE_GUARD, json.dumps(argv))
+                             .stderr.strip().splitlines()[-1])
+            for name, argv in commands.items()}
+    assert seen == {name: [0, [False]] for name in commands}
 
 
 _DIGEST_SIZES = [0, 1, 65_535, 65_536, 65_537, 3_000_017]

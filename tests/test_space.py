@@ -1,16 +1,19 @@
 import contextlib
 import io
+import itertools
 import json
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loravg import (
@@ -30,9 +33,11 @@ from loravg import (
     vitali_subfamily,
 )
 from loravg import NormSpec
+from loravg import cli as cli_mod
 from loravg import space as space_mod
 from loravg.averaging import equicontinuity_bound_matrix, holds
 from loravg.cli import CLIError, _verify_equicontinuity, dispatch
+from loravg.decode import pack_floats
 from loravg.compactness import _separated_count
 from conftest import (matrix_cases, random_space, reference_separated_points,
                       reference_triangle_witness)
@@ -435,7 +440,8 @@ def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, bl
         else:  # line spaces sum each ball's run of atoms in coordinate order
             assert np.all(np.abs(got - measures) <= _measure_rtol(len(weights)) * measures)
 
-    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block):  # several row blocks
+    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block), \
+            mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", block):  # several row blocks
         assert_measures(sp.ball_measures(r))
     assert_measures(sp.ball_measures(r))
     if r > 0:
@@ -898,3 +904,198 @@ def test_weighted_lattice_stays_a_line_space(rng):
         assert np.all(np.abs(got - want) <= _measure_rtol(41) * want)
         np.testing.assert_allclose(averages[r], average(ref, g, r).values, rtol=0,
                                    atol=1e-14 * np.abs(f.values).max())
+
+
+# -- float fields packed from JSON ---------------------------------------------
+
+_NOT_NUMBERS = frozenset((bool, str))
+
+
+def _numpy_floats(raw) -> np.ndarray:
+    """The conversion that `pack_floats` replaced, kept as its reference:
+    the entries at the depth of raw's first ones are checked for strings and
+    booleans, and numpy converts the rest."""
+    entries, first = [raw], raw
+    while type(first) is list and first:
+        entries, first = itertools.chain.from_iterable(entries), first[0]
+    if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
+        raise TypeError("a string or a boolean is not a number")
+    return np.asarray(raw, dtype=float)
+
+
+def _reference_floats(raw, key: str) -> np.ndarray:
+    try:
+        return _numpy_floats(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"space field {key!r} is not numeric")
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(), st.floats(-10, 10), st.integers(-(2 ** 1100), 2 ** 1100),
+    st.sampled_from([0, 1, -0.0, 2 ** 53 + 1, 2 ** 1024 - 2 ** 970, 2 ** 1024 - 2 ** 970 - 1,
+                     -(2 ** 1024)]),
+    st.booleans(), st.text(max_size=2), st.none(), st.just([]))
+
+
+@st.composite
+def _rectangular(draw, leaves):
+    """Lists nested to one depth, those at each depth of one length."""
+    shape = draw(st.lists(st.integers(0, 4), max_size=3))
+    size = math.prod(shape)
+    flat = draw(st.lists(leaves, min_size=size, max_size=size))
+    for length in reversed(shape[1:]):
+        flat = [flat[i:i + length] for i in range(0, len(flat), length)] if length else \
+            [[] for _ in range(len(flat))]
+    return flat if shape else draw(leaves)
+
+
+_NUMBERS_ONLY = st.one_of(st.floats(0, 10), st.integers(0, 10), st.sampled_from([0, 1.5]))
+_JSON_FIELDS = st.one_of(
+    _rectangular(_NUMBERS_ONLY), _rectangular(_JSON_LEAVES),
+    st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=12))
+
+
+def _build_outcome(spec):
+    """The bits of the space built from spec, or its error's type and message."""
+    try:
+        sp = build_space(spec)
+    except (DomainError, MetricViolationError) as err:
+        return type(err).__name__, str(err)
+    return sp.dist.tobytes(), sp.weights.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_JSON_FIELDS)
+@example(raw=[[], []])
+@example(raw=[[0, None], [None, 0]])
+@example(raw=[[1], [2, 3]])
+@example(raw=[[1], 2])
+@example(raw=[10 ** 400])
+def test_packed_floats_have_the_numpy_bits_or_do_not_convert(raw):
+    """What json.loads gives converts to numpy's bits, or fails where
+    numpy or the string and boolean check did: ragged or mixed depths,
+    booleans, strings and integers beyond the float range."""
+    raw = json.loads(json.dumps(raw))  # NaN and the infinities as the parser gives them
+    try:
+        want = _numpy_floats(raw)
+    except (TypeError, ValueError, OverflowError):
+        want = None
+    packed = pack_floats(raw)
+    if want is None:
+        assert packed is None
+    else:
+        got = np.asarray(packed)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert pack_floats(packed) is packed
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["matrix", "cloud", "graph", "lattice"]),
+       fields=st.dictionaries(st.sampled_from(["dist", "coords", "edges", "weights"]),
+                              _JSON_FIELDS, max_size=4))
+def test_space_files_build_as_with_numpy_conversion(tmp_path_factory, kind, fields):
+    """A space file read by the CLI, its float fields packed before numpy
+    loads, builds the space of the numpy conversion, or fails with its
+    error, in the same order of the checks."""
+    spec = {"kind": kind, "n": 2, "L": 1, **fields}
+    text = json.dumps(spec)
+    path = tmp_path_factory.mktemp("space") / "space.json"
+    path.write_text(text)
+    with mock.patch.object(space_mod, "_floats", _reference_floats):
+        want = _build_outcome(json.loads(text))
+    assert _build_outcome(cli_mod._load_space(str(path))) == want
+    assert _build_outcome(json.loads(text)) == want
+
+
+def test_from_cloud_needs_a_2d_array_of_points(tmp_path):
+    """A flat list or a number is not a list of points: it was read as one
+    point with a coordinate per entry, and the CLI exited 0."""
+    for coords in ([0.0, 1.0, 2.0], 3.5, [[[0.0]], [[1.0]]]):
+        with pytest.raises(DomainError, match="coords must be a 2-D array"):
+            MetricMeasureSpace.from_cloud(coords)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"kind": "cloud", "coords": coords}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(["build-space", "--space", str(path)]) == 2
+        assert err.getvalue().startswith("error: coords must be a 2-D array")
+
+
+# -- the matrix ball layer in blocks --------------------------------------------
+
+def _square_cloud_matrix(n: int) -> MetricMeasureSpace:
+    """A validated matrix space of n points in a 10 x 10 square."""
+    coords = np.random.default_rng(5).uniform(0.0, 10.0, (n, 2))
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    dist = np.maximum(dist, dist.T)
+    np.fill_diagonal(dist, 0.0)
+    weights = np.random.default_rng(6).uniform(0.2, 3.0, n)
+    return MetricMeasureSpace.from_matrix(dist, weights)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_ball_layer_stays_within_a_few_block_budgets():
+    """At 600 atoms the ball measures, the kernel's means and a block of
+    symmetric differences each form float operands of one block or tile
+    (256 kB), where whole-matrix operands took 2.5 to 4.1 MB."""
+    sp = _square_cloud_matrix(600)
+    budget = space_mod._PAIR_BLOCK_ENTRIES * 8
+    peaks = {"ball_measures": _traced_peak(lambda: sp.ball_measures(1.0))}
+    kernel = AveragingKernel.build(sp, 1.0)
+    peaks["means"] = _traced_peak(lambda: kernel.means(np.ones(600)))
+    peaks["means of 3 columns"] = _traced_peak(lambda: kernel.means(np.ones((600, 3))))
+    peaks["symm_diff_measures"] = _traced_peak(
+        lambda: sp.symm_diff_measures(1.0, sp.pair_blocks()[0]))
+    assert {name: peak for name, peak in peaks.items() if peak > 6 * budget} == {}
+
+
+_WHOLE_PRODUCTS = """
+import json, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:2]
+from test_space import _square_cloud_matrix
+from loravg import AveragingKernel
+differ = []
+for n in (400, 600):
+    sp = _square_cloud_matrix(n)
+    w, values = sp.weights, np.random.default_rng(n).standard_normal(n)
+    for r in (0.5, 1.0, 2.0):
+        masks = sp.dist <= r
+        mu = (masks * w).sum(axis=1)
+        kernel = AveragingKernel.build(sp, r)
+        whole = {"ball_measures": mu,
+                 "means": (w / mu[:, None]) * masks @ values,
+                 "symm_diff_measures": np.concatenate(
+                     [(masks[b] * w) @ ~masks.T + ((masks * w) @ ~masks[b].T).T
+                      for b in sp.pair_blocks()])}
+        blocked = {"ball_measures": sp.ball_measures(r),
+                   "means": kernel.means(values),
+                   "symm_diff_measures": np.concatenate(
+                       [sp.symm_diff_measures(r, b) for b in sp.pair_blocks()])}
+        differ += [f"{name} n={n} r={r}" for name in whole
+                   if whole[name].tobytes() != blocked[name].tobytes()]
+print(json.dumps(differ))
+"""
+
+
+def test_matrix_blocks_and_tiles_have_the_bits_of_whole_products():
+    """At one BLAS thread, the row blocks of the ball measures and of a
+    kernel's means, and the column tiles of a block of symmetric
+    differences, give the bits of the products over all rows or all
+    columns, at 400 and 600 atoms."""
+    src = str(Path(space_mod.__file__).resolve().parent.parent)
+    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS,
+                          str(Path(__file__).resolve().parent)],
+                         capture_output=True, text=True, timeout=300, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
