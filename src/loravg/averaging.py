@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .norms import NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm
-from .rearrange import FunctionOnSpace, MaximalProfile, StepFunction, runs, sorted_profile
+from .norms import PLAIN, NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm
+from .rearrange import (FunctionOnSpace, MaximalProfile, StepFunction, runs, sorted_distinct,
+                        sorted_profile)
 from .space import MetricMeasureSpace, ball, doubling_constant, symm_diff_measure
 
 
@@ -105,42 +106,31 @@ def equicontinuity_modulus(space: MetricMeasureSpace, x: int, y: int, r: float,
     alpha_x = holder_constants(spec, mu_x).alpha
     alpha_sd = holder_constants(spec, sd).alpha
     bound = abs(1.0 / mu_x - 1.0 / mu_y) * alpha_x + alpha_sd / mu_y
-    exact = None
-    if spec.variant == "plain" and spec.p == spec.q and math.isfinite(spec.p):
-        g = _kernel_difference_density(space, x, y, r)
-        exact = lebesgue_norm(g, spec.p / (spec.p - 1.0))
-    return bound, exact
+    if not (spec.variant == PLAIN and spec.p == spec.q and math.isfinite(spec.p)):
+        return bound, None
+    return bound, float(_difference_densities(space, r, [x, y], spec.p / (spec.p - 1.0))[0])
 
 
-def adjacent_dual_moduli(space: MetricMeasureSpace, r: float, spec: NormSpec,
-                         rows: slice) -> np.ndarray:
-    """equicontinuity_modulus's exact component for the pairs (x, x + 1)
-    with x in the slice rows and x + 1 < n, in one array pass: the dual
-    norm of each kernel-row difference density, with the bits of the pair
-    by pair computation.  Needs the plain diagonal p = q, p in (1, inf)."""
-    if not (spec.variant == "plain" and spec.p == spec.q and 1 < spec.p < math.inf):
-        raise DomainError("the exact modulus needs plain p = q in (1, inf)")
-    start, stop, _ = rows.indices(space.natoms - 1)
-    mu = space.ball_measures(r)[start:stop + 1, None]
-    masks = space.ball_masks(r, slice(start, stop + 1))
+def _difference_densities(space: MetricMeasureSpace, r: float, atoms, dual_p=None):
+    """Per consecutive atoms a, b of atoms (a slice or a list), the density
+    g = 1_B(a,r) / mu(B(a,r)) - 1_B(b,r) / mu(B(b,r)) of
+    A_r f(a) - A_r f(b) = integral of g f d(mu), as a row; with dual_p, the
+    row's weighted dual_p-norm instead, with the bits it has alone.  A
+    density that is not finite raises DomainError after the norms of the
+    rows before it."""
+    mu = space.ball_measures(r)
+    if not isinstance(atoms, slice):  # ball_masks reads a list unchecked
+        for a in atoms:
+            space._check_atom(a)
+    mu, masks = mu[atoms, None], space.ball_masks(r, atoms)
     g = masks[:-1] / mu[:-1]
     g -= masks[1:] / mu[1:]
-    # Pair by pair, the pairs before the first density that is not finite
-    # had their norms, and any error of those, first.
     not_finite = np.flatnonzero(~np.isfinite(g).all(axis=1))
-    exact = lebesgue_norms(g[:not_finite[0]] if not_finite.size else g, space.weights,
-                           spec.p / (spec.p - 1.0))
+    if dual_p is not None:
+        g = lebesgue_norms(g[:not_finite[0]] if not_finite.size else g, space.weights, dual_p)
     if not_finite.size:
         raise DomainError("function values must be finite")
-    return exact
-
-
-def _kernel_difference_density(space: MetricMeasureSpace, x: int, y: int,
-                               r: float) -> FunctionOnSpace:
-    """Density g with A_r f(x) - A_r f(y) = integral of g f d(mu)."""
-    mu = space.ball_measures(r)
-    g = space.ball_mask(x, r) / mu[x] - space.ball_mask(y, r) / mu[y]
-    return FunctionOnSpace(space, g)
+    return g
 
 
 def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
@@ -152,7 +142,7 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
     """
     if not (1 < p < math.inf):
         raise DomainError("extremal construction needs p in (1, inf)")
-    g = _kernel_difference_density(space, x, y, r).values
+    g = _difference_densities(space, r, [x, y])[0]
     pp = p / (p - 1.0)
     values = np.sign(g) * np.abs(g) ** (pp - 1.0)
     f = FunctionOnSpace(space, values)
@@ -216,7 +206,7 @@ def _threshold_grid(values: np.ndarray) -> np.ndarray:
     consecutive ones (sqrt(a b), or sqrt(a) sqrt(b) where a b is not a
     normal float), half the smallest and twice the largest (at most the
     largest float), dropping any that underflow to 0."""
-    vals = np.unique(values[values > 0])
+    vals = sorted_distinct(values[values > 0])
     if vals.size == 0:
         return np.array([])
     top = np.finfo(float).max
@@ -225,7 +215,7 @@ def _threshold_grid(values: np.ndarray) -> np.ndarray:
         above = min(2 * vals[-1], top)
     normal = (product >= np.finfo(float).tiny) & (product <= top)
     mids = np.where(normal, np.sqrt(product), np.sqrt(vals[:-1]) * np.sqrt(vals[1:]))
-    grid = np.unique(np.concatenate((vals, mids, [vals[0] / 2, above])))
+    grid = sorted_distinct(np.concatenate((vals, mids, [vals[0] / 2, above])))
     return grid[grid > 0]
 
 
@@ -296,3 +286,47 @@ def equicontinuity_bound_matrix(space: MetricMeasureSpace, r: float, spec: NormS
     alpha_sd = lam * sd ** one_minus
     return (np.abs(1.0 / mu[rows, None] - 1.0 / mu[None, :]) * alpha_x[:, None]
             + alpha_sd / mu[None, :])
+
+
+def equicontinuity_pairs(space: MetricMeasureSpace, fs: list[FunctionOnSpace], r: float,
+                         spec: NormSpec):
+    """(worst, bounds, exact) in one pass over `space.pair_blocks`, each
+    forming its rows of `equicontinuity_bound_matrix` once.  worst[i] is
+    (x, y, |A_r f(x) - A_r f(y)|, bound(x, y)) of the largest ratio of the
+    two for fs[i], the first in row-major order among equal ratios (None if
+    every bound is 0: equal balls, where A_r f(x) = A_r f(y) exactly, rank
+    below every ratio).  bounds[x] and exact[x] are bound(x, x + 1) and, on
+    the plain p = q (else None), the exact modulus, whose error is raised
+    after the pass unless every bound is 0."""
+    kernel = AveragingKernel.build(space, r)
+    avgs = [kernel.apply(f).values for f in fs]
+    n = space.natoms
+    dual = spec.variant == PLAIN and spec.p == spec.q
+    best = [(-np.inf, 0, 0, 0.0)] * len(fs)
+    bounds, exact, error = np.empty(n - 1), np.empty(n - 1), None
+    for rows in space.pair_blocks():
+        bound = equicontinuity_bound_matrix(space, r, spec, rows)
+        bounds[rows.start:rows.stop] = np.diagonal(bound, offset=rows.start + 1)
+        positive = bound > 0
+        equal = ~positive
+        for i, avg in enumerate(avgs):
+            ratio = avg[rows, None] - avg[None, :]
+            np.abs(ratio, out=ratio)
+            np.divide(ratio, bound, out=ratio, where=positive)
+            ratio[equal] = -np.inf
+            x, y = divmod(int(np.argmax(ratio)), n)
+            if ratio[x, y] > best[i][0]:
+                best[i] = (ratio[x, y], rows.start + x, y, float(bound[x, y]))
+        del bound, positive, equal, ratio  # before the block's densities
+        if dual and error is None:  # the bound has checked p in (1, inf)
+            try:
+                exact[rows.start:rows.stop] = _difference_densities(
+                    space, r, slice(rows.start, min(rows.stop + 1, n)), spec.p / (spec.p - 1.0))
+            except DomainError as err:  # the later pairs get no modulus
+                error = err
+    if best[0][0] == -np.inf:
+        return None, bounds, None
+    if error is not None:
+        raise error
+    worst = [(x, y, abs(avgs[i][x] - avgs[i][y]), b) for i, (_, x, y, b) in enumerate(best)]
+    return worst, bounds, exact if dual else None

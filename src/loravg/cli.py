@@ -311,46 +311,19 @@ def _trial_check(lemma: str, sp, i: int, f, r: float, spec) -> dict:
 
 
 def _verify_equicontinuity(sp, fs, r, spec) -> list[dict]:
-    """Per trial, the pair (x, y) of largest |A_r f(x) - A_r f(y)| / bound(x, y),
-    the first in row-major order among equal ratios; then, on the plain
-    diagonal p = q, the exact modulus of every pair (x, x + 1)."""
-    import numpy as np
+    """The checks of `averaging.equicontinuity_pairs`: each trial's pair of
+    largest ratio, then every pair (x, x + 1) that has an exact modulus."""
+    from .averaging import equicontinuity_pairs
 
-    from . import averaging, norms
-
-    kernel = averaging.AveragingKernel.build(sp, r)
-    avgs = [kernel.apply(f).values for f in fs]
-    # The bound goes by row blocks; a later block's pair replaces an
-    # earlier one only with a larger ratio, as in one row-major argmax.  A
-    # zero bound means equal balls (the diagonal included), where
-    # A_r f(x) = A_r f(y) exactly, so those pairs rank below every ratio.
-    # Each block also gives the bounds of its pairs (x, x + 1).
-    best, adjacent = [(-np.inf, 0, 0, 0.0)] * len(fs), np.empty(sp.natoms - 1)
-    for rows in sp.pair_blocks():
-        bound = averaging.equicontinuity_bound_matrix(sp, r, spec, rows)
-        pairs = np.diagonal(bound, offset=rows.start + 1)
-        adjacent[rows.start:rows.start + pairs.size] = pairs
-        positive = bound > 0
-        equal = ~positive
-        for i, avg in enumerate(avgs):
-            ratio = avg[rows, None] - avg[None, :]
-            np.abs(ratio, out=ratio)
-            np.divide(ratio, bound, out=ratio, where=positive)
-            ratio[equal] = -np.inf
-            x, y = divmod(int(np.argmax(ratio)), sp.natoms)
-            if ratio[x, y] > best[i][0]:
-                best[i] = (ratio[x, y], rows.start + x, y, float(bound[x, y]))
-        del bound, pairs, positive, equal, ratio  # before the next block's bound is formed
-    if best[0][0] == -np.inf:
+    worst, bounds, exact = equicontinuity_pairs(sp, fs, r, spec)
+    if worst is None:
         raise CLIError(f"every ball of radius {r:g} is the same atom set, so the "
                        "modulus is identically 0")
-    checks = [_check(f"trial-{i}-pair-{x}-{y}", abs(avgs[i][x] - avgs[i][y]), b, {})
-              for i, (_, x, y, b) in enumerate(best)]
-    if spec.variant == norms.PLAIN and spec.p == spec.q:
-        exact = np.concatenate([averaging.adjacent_dual_moduli(sp, r, spec, rows)
-                                for rows in sp.pair_blocks()])
+    checks = [_check(f"trial-{i}-pair-{x}-{y}", lhs, b, {})
+              for i, (x, y, lhs, b) in enumerate(worst)]
+    if exact is not None:
         checks += [_check(f"dual-norm-pair-{x}-{x + 1}", lhs, b, {})
-                   for x, (lhs, b) in enumerate(zip(exact, adjacent))]
+                   for x, (lhs, b) in enumerate(zip(exact, bounds))]
     return checks
 
 

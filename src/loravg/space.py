@@ -121,6 +121,8 @@ def _least_triangle_violation(dist: np.ndarray, tol: float):
     stop, errors, lock = threading.Event(), [], threading.Lock()
     least = [(n, n, n)]  # the least (k, i, j) found so far, written under lock
 
+    # An overflowing sum witnesses no violation; numpy's error state is per thread.
+    @np.errstate(over="ignore")
     def work(buffer):
         try:
             while not stop.is_set() and (t := next(taken)) < len(starts):
@@ -372,10 +374,11 @@ class MetricMeasureSpace:
         cols.
 
         A matrix space yields row slices of dist <= r over all columns,
-        about _PAIR_BLOCK_ENTRIES entries each, in a multiple of four rows:
-        BLAS sums the rows of a product four at a time and a leftover row
-        in another order, so each row keeps the bits it has in the product
-        over all rows.  On a line space the ball of the atom at sorted
+        about _PAIR_BLOCK_ENTRIES entries each, in a multiple of four rows
+        but the last, which is never a single row: BLAS sums the rows of a
+        product four at a time and a leftover row in another order, and
+        numpy takes a one-row product as a dot product, so each row keeps
+        the bits it has in the product over all rows.  On a line space the ball of the atom at sorted
         position s is the run [lo[s], hi[s]) (see `ball_runs`), and both
         ends grow with s.  So a block of sorted positions [a, b) needs only
         the columns [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest
@@ -386,8 +389,11 @@ class MetricMeasureSpace:
         n = self.natoms
         if self.coords is None:
             step = max(4, _PAIR_BLOCK_ENTRIES // n // 4 * 4)
-            for a in range(0, n, step):
-                yield slice(a, a + step), slice(None), self.dist[a:a + step] <= r
+            stops = [*range(step, n, step), n]
+            if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+                del stops[-2]
+            for a, b in zip([0, *stops], stops):
+                yield slice(a, b), slice(None), self.dist[a:b] <= r
             return
         order, (lo, hi) = self.order, self.ball_runs(r)
         longest = int((hi - lo).max())
@@ -589,7 +595,11 @@ class MetricMeasureSpace:
             raise DomainError("edge weights must be positive and finite")
         if not np.all((ends >= 0) & (ends < n) & (ends == np.floor(ends))):
             raise DomainError("edge endpoints must be atom indices in 0..n-1")
-        u, v = ends.astype(int).T
+        # coo_matrix adds repeated entries: keep the least weight of a pair.
+        u, v = np.sort(ends.astype(int), axis=1).T
+        order = np.argsort(w, kind="stable")
+        keep = order[np.unique(np.column_stack((u, v))[order], axis=0, return_index=True)[1]]
+        u, v, w = u[keep], v[keep], w[keep]
         graph = coo_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
         dist = shortest_path(graph, method="D", directed=False)
         if not np.all(np.isfinite(dist)):

@@ -65,6 +65,25 @@ def test_matrix_kernel_blocks_match_the_full_product(case, block, columns):
     np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
 
 
+def test_matrix_kernel_blocks_leave_no_single_row():
+    """Blocks of four rows leave one row at 5, 9 and 13 atoms.  numpy takes
+    a one-row product as a dot product, whose sum rounds otherwise than
+    the whole product's, so the last block keeps that row: the means have
+    the whole product's bits.  An ulp there reordered tied pairs of the
+    equicontinuity check."""
+    rng = np.random.default_rng(9)
+    with mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", 1):
+        for n in (5, 9, 13):
+            sp = MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (n, 2)), metric="l1",
+                                               weights=rng.uniform(0.2, 3.0, n))
+            for r in (4.0, 8.0, 30.0):
+                kernel = AveragingKernel.build(sp, r)
+                matrix = (sp.dist <= r) * sp.weights / kernel.ball_measures[:, None]
+                for _ in range(5):
+                    values = rng.standard_normal(n)
+                    assert kernel.means(values).tobytes() == (matrix @ values).tobytes()
+
+
 def test_kernel_matrix_has_the_ball_measures_as_its_one_normaliser(rng):
     """On both space forms the kernel matrix divides by the space's ball
     measures, the same normaliser as `means`."""

@@ -199,6 +199,36 @@ def test_equicontinuity_ties_go_to_the_first_pair_in_row_major_order(monkeypatch
     assert (check["lhs"], check["rhs"]) == (2.0, bound[0, 3])
 
 
+@pytest.mark.parametrize("entries", [1, 40])
+@pytest.mark.parametrize("form", ["matrix", "line"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_dual_norm_pair_checks_match_the_library(monkeypatch, p, form, entries):
+    """Each dual-norm-pair-x-(x+1) check has, to the bit, the exact modulus
+    of `equicontinuity_modulus` as lhs and the bound of
+    `equicontinuity_bound_matrix` as rhs.  At 12 atoms the pair blocks are
+    one row (two on a matrix space) or three rows long, so pairs (x, x + 1)
+    cross block boundaries."""
+    from loravg import space as space_mod
+    from loravg.averaging import equicontinuity_bound_matrix, equicontinuity_modulus
+
+    monkeypatch.setattr(space_mod, "_PAIR_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(17)
+    n, dim = 12, 2 if form == "matrix" else 1
+    sp = loravg.MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (n, dim)), metric="l1",
+                                              weights=rng.uniform(0.2, 3.0, n))
+    assert (sp.coords is None) == (form == "matrix")
+    length = 3 if entries == 40 else 2 if form == "matrix" else 1
+    assert {b.stop - b.start for b in sp.pair_blocks()} == {length}
+    spec, r = loravg.NormSpec(p, p), 2.5
+    fs = [loravg.FunctionOnSpace(sp, rng.standard_normal(n)) for _ in range(2)]
+    bound = equicontinuity_bound_matrix(sp, r, spec)
+    checks = _verify_equicontinuity(sp, fs, r, spec)[len(fs):]
+    assert [ch["name"] for ch in checks] == [f"dual-norm-pair-{x}-{x + 1}" for x in range(n - 1)]
+    for x, ch in enumerate(checks):
+        assert ch["lhs"] == equicontinuity_modulus(sp, x, x + 1, r, spec)[1]
+        assert ch["rhs"] == bound[x, x + 1]
+
+
 def test_verify_missing_seed_is_usage_error(capsys, space_file):
     code, _ = run(capsys, "verify", "--lemma", "distribution", "--space", space_file,
                   "--r", "1", "--p", "2", "--q", "2")

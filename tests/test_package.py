@@ -75,7 +75,9 @@ def test_bench_span_table_names_resolve():
 def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):
     """Every command of both benchmark workloads, at one seed, run as a
     fresh CLI process, passes bench/oracle.py's independent check: an
-    output that the benchmark would count as incorrect fails here."""
+    output that the benchmark would count as incorrect fails here.  Each
+    writes only its wall time on stderr, so a warning that only a fresh
+    process prints (the test filter raises it in process) fails too."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     workloads = _module_at(bench / "workloads.py", "workloads")
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # oracle.py imports it by name
@@ -92,6 +94,8 @@ def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):
             outcome = oracle.Outcome(argv, res.returncode, res.stdout, res.stderr)
             ran += 1
             problems += [(name, argv, p) for p in oracle.check(name, outcome, expected)]
+            if not (res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1):
+                problems.append((name, argv, res.stderr))
     assert ran == 9 and problems == []
 
 
@@ -115,15 +119,15 @@ print(json.dumps(report))
 """
 
 # A fresh process runs one command, its artifact discarded, and reports on
-# stderr its exit code, the package modules loaded and whether OpenSSL's
-# _hashlib was.
+# stderr its exit code, the package modules loaded, whether OpenSSL's
+# _hashlib was and whether numpy.ma was.
 _COMMAND_GUARD = """
 import contextlib, io, json, sys
 from loravg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("loravg.")),
-                  "_hashlib" in sys.modules]), file=sys.stderr)
+                  "_hashlib" in sys.modules, "numpy.ma" in sys.modules]), file=sys.stderr)
 """
 
 # Every command below loads cli, decode, errors and space; one that reads a
@@ -146,6 +150,11 @@ _COMMAND_IMPORTS = {
                      "--r", "1", *_P2_Q2], ["averaging", *_NORMS], False),
     "verify --seed": (["verify", "--lemma", "distribution", "--space", "SPACE", "--seed", "1",
                        "--trials", "1", "--r", "1", *_P2_Q2], ["averaging", *_NORMS], True),
+    "verify rearrange": (["verify", "--lemma", "rearrange", "--space", "SPACE", "--seed", "1",
+                          "--r", "1", *_P2_Q2], ["averaging", *_NORMS], True),
+    "verify equicontinuity": (["verify", "--lemma", "equicontinuity", "--space", "SPACE",
+                               "--seed", "1", "--r", "1", *_P2_Q2],
+                              ["averaging", "compactness", *_NORMS], True),
 }
 
 
@@ -169,8 +178,9 @@ def test_package_names_are_lazy():
 
 def test_commands_import_only_what_they_run(tmp_path):
     """Each command, in a fresh process, exits 0 having loaded the package
-    modules of its row in _COMMAND_IMPORTS and OpenSSL only if the row says
-    so; a mismatch is reported under the command's name."""
+    modules of its row in _COMMAND_IMPORTS, OpenSSL only if the row says
+    so, and never numpy.ma, which numpy 2.4's np.unique imports; a mismatch
+    is reported under the command's name."""
     files = {"SPACE": tmp_path / "space.json", "FN": tmp_path / "fn.json"}
     files["SPACE"].write_text(json.dumps({"kind": "cloud", "metric": "l1",
                                           "coords": [[float(x)] for x in range(12)]}))
@@ -180,7 +190,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         argv = [str(files.get(arg, arg)) for arg in argv]
         res = _run_fresh(_COMMAND_GUARD, json.dumps(argv))
         seen[name] = json.loads(res.stderr.strip().splitlines()[-1])
-        expected[name] = [0, sorted(_CLI_MODULES + modules), openssl]
+        expected[name] = [0, sorted(_CLI_MODULES + modules), openssl, False]
     assert seen == expected
 
 

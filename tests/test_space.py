@@ -376,6 +376,17 @@ def test_graph_disconnected_rejected():
         MetricMeasureSpace.from_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
 
+def test_graph_repeated_edges_keep_their_least_weight():
+    """An edge listed in both directions, or twice, is one edge of its
+    least weight: coo_matrix added the weights of repeated entries."""
+    cases = [(2, [(0, 1, 1), (1, 0, 1)], (0, 1), 1.0),
+             (2, [(0, 1, 1), (0, 1, 3)], (0, 1), 1.0),
+             (3, [(0, 1, 1), (1, 2, 1), (0, 2, 5), (0, 2, 0.5)], (0, 2), 0.5)]
+    for n, edges, (x, y), want in cases:
+        dist = MetricMeasureSpace.from_graph(n, edges).dist
+        assert dist[x, y] == dist[y, x] == want
+
+
 def test_json_round_trip(rng):
     sp = random_space(rng)
     rebuilt = build_space(sp.to_json())
@@ -522,6 +533,42 @@ def test_threads_share_a_large_triangle_check(planted):
         with pytest.raises(MetricViolationError) as err:
             space_mod.validate_metric(dist)
     assert err.value.witness == reference_triangle_witness(dist)
+
+
+# A JSON integer that rounds to DBL_MAX: a sum of two such distances, or one
+# plus the triangle tolerance, overflows.
+_NEAR_DBL_MAX = 2 ** 1024 - 2 ** 970 - 1
+
+
+def test_triangle_sums_that_overflow_raise_no_warning(tmp_path):
+    """A pivot sum that overflows to inf witnesses no violation of a
+    finite distance.  The check passes on the two-atom matrix under the
+    RuntimeWarning filter, and `build-space` on it, in a fresh process,
+    writes only its wall time on stderr; both printed numpy's overflow
+    warning.  Among such sums a real violation, on 4 threads, keeps its
+    witness."""
+    big = float(_NEAR_DBL_MAX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        space_mod.validate_metric(np.array([[0.0, big], [big, 0.0]]))
+        dist = np.full((20, 20), big)
+        np.fill_diagonal(dist, 0.0)
+        dist[0, 12] = dist[12, 0] = dist[12, 15] = dist[15, 12] = 1.0
+        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 400):
+            with pytest.raises(MetricViolationError) as err:
+                space_mod.validate_metric(dist)
+    assert err.value.witness == (0, 12, 15)
+    assert str(err.value) == f"triangle violation: d(0,15)={big} > d(0,12)+d(12,15)=2.0"
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "matrix",
+                                "dist": [[0, _NEAR_DBL_MAX], [_NEAR_DBL_MAX, 0]]}))
+    src = str(Path(space_mod.__file__).resolve().parent.parent)
+    res = subprocess.run([sys.executable, "-m", "loravg.cli", "build-space", "--space", str(path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert res.returncode == 0
+    assert res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1
 
 
 def _planted(dist, i, j, excess):
