@@ -60,18 +60,19 @@ class AveragingKernel:
         measures = space.ball_measures(r)
         # A ball measure above DBL_MAX would turn every coefficient into 0.
         if not np.all(np.isfinite(measures)):
-            raise RuntimeError("averaging kernel rows must sum to 1")
+            raise DomainError("averaging kernel rows must sum to 1: a ball measure overflows")
         return cls(space=space, r=float(r), ball_measures=measures)
 
     def means(self, values) -> np.ndarray:
         """A_r of an (n,) value array, or of each column of an (n, m) one:
         per block of balls, the kernel coefficients w_y / mu(B(x, r)) times
-        the values in one matrix product."""
+        the values in one matrix product.  The mask comes first, so a
+        quotient outside the ball, which can overflow, is never formed."""
         values = np.asarray(values, dtype=float)
         weights, measures = self.space.weights, self.ball_measures
         out = np.empty(values.shape)
         for rows, cols, inside in self.space.ball_blocks(self.r):
-            out[rows] = (weights[cols] / measures[rows, None]) * inside @ values[cols]
+            out[rows] = (inside * weights[cols]) / measures[rows, None] @ values[cols]
         return out
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:
@@ -154,9 +155,12 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
 
 def distribution_constant(space: MetricMeasureSpace, r: float):
     """(c, (g1, g2, g3)) with c = g1*g2*g3 + 1 from the tight doubling
-    constants at scales r, 2r and 4r."""
+    constants at scales r, 2r and 4r; DomainError if c is not finite."""
     g1, g2, g3 = (doubling_constant(space, s) for s in (r, 2 * r, 4 * r))
-    return g1 * g2 * g3 + 1.0, (g1, g2, g3)
+    c = g1 * g2 * g3 + 1.0
+    if not math.isfinite(c):
+        raise DomainError(f"the constant c = g1*g2*g3 + 1 at radius {r:g} overflows")
+    return c, (g1, g2, g3)
 
 
 @dataclass(frozen=True)
@@ -296,16 +300,20 @@ def equicontinuity_pairs(space: MetricMeasureSpace, fs: list[FunctionOnSpace], r
     two for fs[i], the first in row-major order among equal ratios (None if
     every bound is 0: equal balls, where A_r f(x) = A_r f(y) exactly, rank
     below every ratio).  bounds[x] and exact[x] are bound(x, x + 1) and, on
-    the plain p = q (else None), the exact modulus, whose error is raised
-    after the pass unless every bound is 0."""
+    the plain p = q (else None), the exact modulus.  A bound that is not
+    finite raises DomainError; once a block's bounds are finite, so are
+    1/mu(B(x, r)) for its atoms and the next, and so its densities."""
     kernel = AveragingKernel.build(space, r)
     avgs = [kernel.apply(f).values for f in fs]
     n = space.natoms
     dual = spec.variant == PLAIN and spec.p == spec.q
     best = [(-np.inf, 0, 0, 0.0)] * len(fs)
-    bounds, exact, error = np.empty(n - 1), np.empty(n - 1), None
+    bounds, exact = np.empty(n - 1), np.empty(n - 1)
     for rows in space.pair_blocks():
-        bound = equicontinuity_bound_matrix(space, r, spec, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = equicontinuity_bound_matrix(space, r, spec, rows)
+        if not np.isfinite(bound).all():
+            raise DomainError(f"the equicontinuity bound at radius {r:g} overflows")
         bounds[rows.start:rows.stop] = np.diagonal(bound, offset=rows.start + 1)
         positive = bound > 0
         equal = ~positive
@@ -318,15 +326,10 @@ def equicontinuity_pairs(space: MetricMeasureSpace, fs: list[FunctionOnSpace], r
             if ratio[x, y] > best[i][0]:
                 best[i] = (ratio[x, y], rows.start + x, y, float(bound[x, y]))
         del bound, positive, equal, ratio  # before the block's densities
-        if dual and error is None:  # the bound has checked p in (1, inf)
-            try:
-                exact[rows.start:rows.stop] = _difference_densities(
-                    space, r, slice(rows.start, min(rows.stop + 1, n)), spec.p / (spec.p - 1.0))
-            except DomainError as err:  # the later pairs get no modulus
-                error = err
+        if dual:  # the bound has checked p in (1, inf)
+            exact[rows.start:rows.stop] = _difference_densities(
+                space, r, slice(rows.start, min(rows.stop + 1, n)), spec.p / (spec.p - 1.0))
     if best[0][0] == -np.inf:
         return None, bounds, None
-    if error is not None:
-        raise error
     worst = [(x, y, abs(avgs[i][x] - avgs[i][y]), b) for i, (_, x, y, b) in enumerate(best)]
     return worst, bounds, exact if dual else None

@@ -3,10 +3,13 @@
 Subcommands: build-space, norm, rearrange, avg, verify, witness, probe,
 approx.  Structured output is JSON (CSV for probe tables, SVG for plots)
 and is deterministic: no timestamps inside artifacts, wall time on
-stderr only, seeds mandatory for anything randomized.  JSON is streamed:
-it has the bytes of json.dumps(obj, indent=2, sort_keys=True), but is
-written chunk by chunk, to stdout or, with --out, to a temporary file
-renamed into place, so no command holds the whole text in memory.
+stderr only, seeds mandatory for anything randomized.  The one known
+exception is the BLAS thread count: on a matrix space, the
+`dual-norm-pair` rhs and margin of `verify --lemma equicontinuity` can
+differ by 1 ulp between one and two threads.  JSON is streamed: it has
+the bytes of json.dumps(obj, indent=2, sort_keys=True), but is written
+chunk by chunk, to stdout or, with --out, to a temporary file renamed
+into place, so no command holds the whole text in memory.
 
 Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
@@ -453,86 +456,54 @@ def _cmd_approx(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def _add_norm_flags(p) -> None:
-    p.add_argument("--p", required=True, help="first Lorentz exponent (number or inf)")
-    p.add_argument("--q", required=True, help="second Lorentz exponent (number or inf)")
+def _build_parser() -> argparse.ArgumentParser:
+    space, fn, r, norm, out = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    space.add_argument("--space", required=True)
+    fn.add_argument("--fn", required=True)
+    r.add_argument("--r", type=float, required=True)
+    norm.add_argument("--p", required=True, help="first Lorentz exponent (number or inf)")
+    norm.add_argument("--q", required=True, help="second Lorentz exponent (number or inf)")
     # norms.PLAIN and norms.DOUBLE_STAR, named here so that parsing the
     # arguments imports no numeric module.
-    p.add_argument("--variant", default="plain", choices=["plain", "double-star"])
-
-
-def _build_parser() -> argparse.ArgumentParser:
+    norm.add_argument("--variant", default="plain", choices=["plain", "double-star"])
+    out.add_argument("--out")
     parser = argparse.ArgumentParser(prog="loravg")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-space", help="validate a space and emit canonical JSON")
-    p.add_argument("--space", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_build_space)
+    def command(name: str, summary: str, parents: list, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("norm", help="Lorentz norm of a function")
-    p.add_argument("--space", required=True)
-    p.add_argument("--fn", required=True)
-    _add_norm_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_norm)
-
-    p = sub.add_parser("rearrange", help="decreasing rearrangement step function")
-    p.add_argument("--space", required=True)
-    p.add_argument("--fn", required=True)
+    command("build-space", "validate a space and emit canonical JSON", [space, out],
+            _cmd_build_space)
+    command("norm", "Lorentz norm of a function", [space, fn, norm, out], _cmd_norm)
+    p = command("rearrange", "decreasing rearrangement step function", [space, fn, out],
+                _cmd_rearrange)
     p.add_argument("--distribution", action="store_true",
                    help="emit the distribution function instead")
     p.add_argument("--plot", help="also write a step plot SVG here")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_rearrange)
-
-    p = sub.add_parser("avg", help="apply the averaging operator")
-    p.add_argument("--space", required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_avg)
-
-    p = sub.add_parser("verify", help="check one of the operator inequalities")
+    command("avg", "apply the averaging operator", [space, fn, r, out], _cmd_avg)
+    p = command("verify", "check one of the operator inequalities", [space, r, norm, out],
+                _cmd_verify)
     p.add_argument("--lemma", required=True,
-                   choices=["distribution", "rearrange", "operator-bound",
-                            "equicontinuity"])
-    p.add_argument("--space", required=True)
-    p.add_argument("--r", type=float, required=True)
-    _add_norm_flags(p)
+                   choices=["distribution", "rearrange", "operator-bound", "equicontinuity"])
     p.add_argument("--fn", help="explicit function (otherwise random, needs --seed)")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("witness", help="non-compactness witness separation")
-    p.add_argument("--space", required=True)
-    p.add_argument("--r", type=float, required=True)
+    p = command("witness", "non-compactness witness separation", [space, r, norm, out],
+                _cmd_witness)
     p.add_argument("--k", type=int, required=True)
-    _add_norm_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("probe", help="covering/witness trends over a space family")
-    p.add_argument("--family", required=True, help="lattice:START:STOP:STEP")
-    p.add_argument("--r", type=float, required=True)
-    _add_norm_flags(p)
+    p = command("probe", "covering/witness trends over a space family", [r, norm, out],
+                _cmd_probe)
+    p.add_argument("--family", required=True, help="lattice:L or lattice:START:STOP:STEP")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.add_argument("--svg")
-    p.set_defaults(handler=_cmd_probe)
-
-    p = sub.add_parser("approx", help="simple-function approximation by disjoint balls")
-    p.add_argument("--space", required=True)
-    p.add_argument("--fn", required=True)
+    p = command("approx", "simple-function approximation by disjoint balls",
+                [space, fn, norm, out], _cmd_approx)
     p.add_argument("--epsilon", type=float, required=True)
-    _add_norm_flags(p)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_approx)
-
     return parser
 
 

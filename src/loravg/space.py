@@ -220,12 +220,13 @@ def _check_radius(r: float) -> None:
 
 
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
-    """The (n,) weights as a read-only array, if there is at least one and
-    every one is positive and finite."""
+    """The (n,) weights as a read-only array, if there is at least one, every
+    one is positive and their total, a bound on every ball measure, is finite."""
     if weights.size == 0:
         raise DomainError("space must contain at least one atom")
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise DomainError("atom weights must be positive and finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN in, inf or NaN out
+        if np.any(weights <= 0) or not np.isfinite(weights.sum()):
+            raise DomainError("atom weights must be positive and finite, and so must their total")
     weights.setflags(write=False)
     return weights
 
@@ -302,11 +303,13 @@ class MetricMeasureSpace:
         return float(_line_distance(self.metric, self._sorted[-1:], self._sorted[:1])[0])
 
     def __eq__(self, other) -> bool:
-        """Same distances and weights, however the metric was checked."""
+        """Same weights and distances, however the metric was checked,
+        compared a row at a time, so that a line space forms no matrix."""
         if not isinstance(other, MetricMeasureSpace):
             return NotImplemented
-        return other is self or (np.array_equal(other.weights, self.weights)
-                                 and np.array_equal(other.dist, self.dist))
+        return other is self or (np.array_equal(other.weights, self.weights) and all(
+            np.array_equal(other.distance_row(x), self.distance_row(x))
+            for x in range(self.natoms)))
 
     # -- the ball layer ------------------------------------------------------
 
@@ -439,10 +442,11 @@ class MetricMeasureSpace:
         too.  A block holds about _PAIR_BLOCK_ENTRIES pairs (x, y).
 
         On a matrix space a block holds at least n / 16 rows, so that BLAS
-        sums each tile's product as it sums the product over all columns:
-        it takes another kernel for small products, whose sums round
-        differently.  For the same reason a block holds at least two rows:
-        numpy multiplies a one-row block with the matrix-vector kernel."""
+        does not take its kernel for small products, whose sums round
+        differently, and at least two, since numpy multiplies a one-row
+        block with the matrix-vector kernel.  At one BLAS thread a tile then
+        has the bits of the product over all columns at 400 and 600 atoms,
+        where that is checked, but not at 401."""
         n = self.natoms
         step = max(1, _PAIR_BLOCK_ENTRIES // n)
         count = -(-n // step)
@@ -462,11 +466,12 @@ class MetricMeasureSpace:
         `pair_blocks` columns at a time, and slices the rows out of them,
         so a row's bits do not depend on which rows are asked for, and no
         float operand is larger than a tile.  At one BLAS thread a tile
-        has the bits of the product over all columns.  On a line space
-        both balls are runs (see `ball_runs`) and so is each of the at most
-        two pieces of their difference; a piece is a difference of
-        compensated prefix sums of the weights in sorted order, which needs
-        no n x n array.
+        has the bits of the product over all columns at 400 and 600 atoms,
+        where that is checked, but not at 401 (see `pair_blocks`).  On a
+        line space both balls are runs (see `ball_runs`) and so is each of
+        the at most two pieces of their difference; a piece is a difference
+        of compensated prefix sums of the weights in sorted order, which
+        needs no n x n array.
         """
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
@@ -687,7 +692,8 @@ def doubling_constant(space: MetricMeasureSpace, s: float) -> float:
     finite spaces are always s-doubling."""
     if not s > 0:
         raise DomainError("doubling scale must be positive")
-    return float((space.ball_measures(2 * s) / space.ball_measures(s)).max())
+    with np.errstate(over="ignore"):  # a quotient above DBL_MAX is inf
+        return float((space.ball_measures(2 * s) / space.ball_measures(s)).max())
 
 
 def greedy_scan(count: int, distances_to, threshold: float):

@@ -233,7 +233,7 @@ def test_criterion_11_vitali_subfamily():
                      for _ in range(m)]
         try:
             kept = vitali_subfamily(sp, balls)
-        except AssertionError:
+        except RuntimeError:
             failures += 1
             continue
         masks = [sp.ball_mask(c, rad) for c, rad in kept]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loravg
-from loravg.cli import _emit_json, _verify_equicontinuity, dispatch
+from loravg.cli import _build_parser, _emit_json, _verify_equicontinuity, dispatch
 from loravg.compactness import sample_unit_sphere
 
 
@@ -36,6 +37,98 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# Every subcommand's options, pinned: dest -> (option string, required,
+# default, type, choices, action class).
+_PARSER = {
+    "build-space": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "norm": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "fn": ("--fn", True, None, None, None, "_StoreAction"),
+        "p": ("--p", True, None, None, None, "_StoreAction"),
+        "q": ("--q", True, None, None, None, "_StoreAction"),
+        "variant": ("--variant", False, "plain", None, ("plain", "double-star"), "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "rearrange": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "fn": ("--fn", True, None, None, None, "_StoreAction"),
+        "distribution": ("--distribution", False, False, None, None, "_StoreTrueAction"),
+        "plot": ("--plot", False, None, None, None, "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "avg": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "fn": ("--fn", True, None, None, None, "_StoreAction"),
+        "r": ("--r", True, None, "float", None, "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "verify": {
+        "lemma": ("--lemma", True, None, None,
+                  ("distribution", "rearrange", "operator-bound", "equicontinuity"),
+                  "_StoreAction"),
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "r": ("--r", True, None, "float", None, "_StoreAction"),
+        "p": ("--p", True, None, None, None, "_StoreAction"),
+        "q": ("--q", True, None, None, None, "_StoreAction"),
+        "variant": ("--variant", False, "plain", None, ("plain", "double-star"), "_StoreAction"),
+        "fn": ("--fn", False, None, None, None, "_StoreAction"),
+        "seed": ("--seed", False, None, "int", None, "_StoreAction"),
+        "trials": ("--trials", False, 8, "int", None, "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "witness": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "r": ("--r", True, None, "float", None, "_StoreAction"),
+        "k": ("--k", True, None, "int", None, "_StoreAction"),
+        "p": ("--p", True, None, None, None, "_StoreAction"),
+        "q": ("--q", True, None, None, None, "_StoreAction"),
+        "variant": ("--variant", False, "plain", None, ("plain", "double-star"), "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+    "probe": {
+        "family": ("--family", True, None, None, None, "_StoreAction"),
+        "r": ("--r", True, None, "float", None, "_StoreAction"),
+        "p": ("--p", True, None, None, None, "_StoreAction"),
+        "q": ("--q", True, None, None, None, "_StoreAction"),
+        "variant": ("--variant", False, "plain", None, ("plain", "double-star"), "_StoreAction"),
+        "epsilon": ("--epsilon", True, None, "float", None, "_StoreAction"),
+        "n": ("--n", True, None, "int", None, "_StoreAction"),
+        "seed": ("--seed", False, None, "int", None, "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+        "svg": ("--svg", False, None, None, None, "_StoreAction"),
+    },
+    "approx": {
+        "space": ("--space", True, None, None, None, "_StoreAction"),
+        "fn": ("--fn", True, None, None, None, "_StoreAction"),
+        "epsilon": ("--epsilon", True, None, "float", None, "_StoreAction"),
+        "p": ("--p", True, None, None, None, "_StoreAction"),
+        "q": ("--q", True, None, None, None, "_StoreAction"),
+        "variant": ("--variant", False, "plain", None, ("plain", "double-star"), "_StoreAction"),
+        "out": ("--out", False, None, None, None, "_StoreAction"),
+    },
+}
+
+
+def test_parser_declares_the_same_options():
+    """Each subcommand takes the same options, with the same dest,
+    requiredness, default, type, choices and action, and its handler."""
+    sub, = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_PARSER)
+    for name, parser in sub.choices.items():
+        options = {a.dest: (a.option_strings[0] if len(a.option_strings) == 1
+                            else tuple(a.option_strings), a.required, a.default,
+                            None if a.type is None else a.type.__name__,
+                            None if a.choices is None else tuple(a.choices), type(a).__name__)
+                   for a in parser._actions}
+        assert options.pop("help") == (("-h", "--help"), False, argparse.SUPPRESS, None, None,
+                                       "_HelpAction")
+        assert options == _PARSER[name], name
+        assert parser.get_default("handler").__name__ == "_cmd_" + name.replace("-", "_")
 
 
 def test_norm_subcommand(capsys, space_file, chi_file):
@@ -417,6 +510,77 @@ def test_verify_distribution_near_dblmax_prints_no_warning(tmp_path):
     assert res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1
     report = json.loads(res.stdout)
     assert report["pass"] is True and [ch["pass"] for ch in report["checks"]] == [True]
+
+
+def _run_files(tmp_path, space: dict, values: list | None, argv: list[str]):
+    """(exit code, stderr lines, stdout) of the command argv on the space
+    and, unless values is None, the function given, run in process, where
+    a RuntimeWarning fails the test."""
+    files = {"--space": space, "--fn": None if values is None else {"values": values}}
+    for flag, payload in files.items():
+        if payload is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(payload))
+            argv = [*argv, flag, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, err.getvalue().splitlines(), out.getvalue()
+
+
+_CLOUD3 = {"kind": "cloud", "metric": "l1", "coords": [[0], [1], [2]]}
+
+
+@pytest.mark.parametrize("space", [
+    {"kind": "matrix", "dist": [[0, 1], [1, 0]], "weights": [1e300, 1e-300]},
+    {**_CLOUD3, "weights": [1e300, 1, 1e-300]},
+])
+def test_wide_weight_range_averages_single_atom_balls_exactly(tmp_path, space):
+    """Every ball of radius 0.5 is one atom, so A_r f = f, though w_y over
+    the measure of another atom's ball overflows."""
+    values = [1.0, 2.0, 3.0][:len(space["weights"])]
+    code, err, out = _run_files(tmp_path, space, values, ["avg", "--r", "0.5"])
+    assert code == 0 and len(err) == 1 and err[0].startswith("wall_time_s=")
+    assert json.loads(out)["values"] == values
+
+
+@pytest.mark.parametrize("lemma", ["distribution", "rearrange", "operator-bound"])
+def test_overflowing_constant_c_exits_two(tmp_path, lemma):
+    """A doubling quotient of 1e200 / 1e-200 makes c infinite, and every
+    check against it would pass whatever f is."""
+    code, err, out = _run_files(tmp_path, {**_CLOUD3, "weights": [1e-200, 1, 1e200]},
+                                [1, 2, 3], ["verify", "--lemma", lemma, "--r", "0.5",
+                                            "--p", "2", "--q", "2"])
+    assert code == 2 and out == ""
+    assert len(err) == 2 and "constant c" in err[0] and err[0].startswith("error:")
+    assert err[1].startswith("wall_time_s=")
+
+
+_PATH3 = {"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+
+
+@pytest.mark.parametrize("values, r, argv", [
+    ([1, 2, 3], "0.5", ["--p", "2", "--q", "2"]),
+    (None, "1", ["--seed", "1", "--trials", "2", "--p", "3", "--q", "2"]),
+])
+def test_overflowing_equicontinuity_bound_exits_two(tmp_path, values, r, argv):
+    """1 / mu(B(x, r)) overflows at weights of 1e-320, so the bounds are not
+    finite: the run says so instead of calling the balls one atom set."""
+    code, err, out = _run_files(tmp_path, {**_PATH3, "weights": [1e-320] * 3}, values,
+                                ["verify", "--lemma", "equicontinuity", "--r", r, *argv])
+    assert code == 2 and out == ""
+    assert err[0] == f"error: the equicontinuity bound at radius {r} overflows"
+    assert len(err) == 2 and err[1].startswith("wall_time_s=")
+
+
+def test_equicontinuity_on_balls_that_are_the_whole_space_exits_two(tmp_path):
+    """At r >= diameter every bound is exactly 0, and the modulus with it."""
+    code, err, _ = _run_files(tmp_path, {**_PATH3, "weights": [1, 2, 1]}, [1, 2, 3],
+                              ["verify", "--lemma", "equicontinuity", "--r", "2", "--p", "2",
+                               "--q", "2"])
+    assert code == 2
+    assert err[0] == ("error: every ball of radius 2 is the same atom set, so the modulus "
+                      "is identically 0")
 
 
 def test_verify_equicontinuity_skips_equal_balls(capsys, tmp_path):
@@ -835,6 +999,8 @@ def json_dir(tmp_path_factory):
          ["avg", "--fn", "FN", "--r", "1"])
 @example(({"kind": "matrix", "dist": [[0]], "weights": [1e-320]}, {"values": [0]}),
          _JSON_COMMANDS[-1])
+@example(({"kind": "matrix", "dist": [[0, 1], [1, 0]], "weights": [1e308, 1e308]},
+          {"values": [1, 2]}), ["avg", "--fn", "FN", "--r", "5"])
 def test_cli_json_fuzz_exits_zero_one_or_two(json_dir, inputs, command):
     """Whatever the space and function files hold, a run ends in 0, 1 or 2,
     an exit 2 says why on an `error:` line, and nothing ends in a traceback."""

@@ -354,6 +354,27 @@ def test_space_and_function_equality():
         f + FunctionOnSpace(MetricMeasureSpace.from_matrix(a.dist, [1, 1, 1, 2]), np.ones(4))
 
 
+def test_space_equality_forms_no_distance_matrix():
+    """Separately built line spaces compare a distance row at a time: at
+    3,000 atoms the comparison traces under 1 MB and forms neither dist."""
+    rng = np.random.default_rng(5)
+    coords, weights = rng.uniform(0, 100, (3000, 1)), rng.uniform(0.5, 2.0, 3000)
+    a, b = (MetricMeasureSpace.from_cloud(coords, metric="l1", weights=weights)
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        equal = a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equal and peak < 1e6, peak
+    assert "dist" not in vars(a) and "dist" not in vars(b)
+    small = MetricMeasureSpace.from_cloud(coords[:50], metric="l1", weights=weights[:50])
+    assert small == MetricMeasureSpace.from_matrix(small.dist, small.weights)
+    assert small != MetricMeasureSpace.from_cloud(coords[:50], metric="l1",
+                                                  weights=weights[:50] * 2)
+
+
 def test_graph_shortest_path_against_floyd_warshall(rng):
     n = 8
     edges = [(i, i + 1, float(rng.uniform(0.5, 2))) for i in range(n - 1)]
@@ -913,12 +934,12 @@ def test_line_kernel_bands_match_matrix_on_long_runs(rng):
 
 
 def test_overflowing_ball_measure_fails_on_both_space_forms():
-    sp = build_space({"kind": "lattice", "L": 1, "weights": [1e308, 1e308]})
-    matrix_space = MetricMeasureSpace.from_matrix(sp.dist, sp.weights)
-    with np.errstate(over="ignore"):
-        for space in (sp, matrix_space):
-            with pytest.raises(RuntimeError, match="rows must sum to 1"):
-                AveragingKernel.build(space, 1.0)
+    """A total weight above DBL_MAX would let a ball measure overflow, so
+    either space form refuses it when it is built, without a warning."""
+    for spec in ({"kind": "lattice", "L": 1, "weights": [1e308, 1e308]},
+                 {"kind": "matrix", "dist": [[0, 1], [1, 0]], "weights": [1e308, 1e308]}):
+        with pytest.raises(DomainError, match="so must their total"):
+            build_space(spec)
 
 
 @pytest.mark.parametrize("form", ["line", "matrix"])
