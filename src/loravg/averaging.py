@@ -163,6 +163,16 @@ def distribution_constant(space: MetricMeasureSpace, r: float):
     return c, (g1, g2, g3)
 
 
+def _integrable_profile(space: MetricMeasureSpace, f: FunctionOnSpace):
+    """(levels, t, F) of f's sorted profile on space (see `rearrange`);
+    DomainError if the integral of |f|, F's last entry, is not finite,
+    since f** and the integrals of |f| over its level sets would read inf."""
+    levels, _, t, F = sorted_profile(f.values, space.weights)
+    if not math.isfinite(F[-1]):
+        raise DomainError("the integral of |f| overflows the floating-point range")
+    return levels, t, F
+
+
 @dataclass(frozen=True)
 class DistributionInequalityReport:
     constant_c: float
@@ -189,7 +199,7 @@ def verify_distribution_inequality(space: MetricMeasureSpace, f: FunctionOnSpace
         raise DomainError("need positive thresholds, and at least one "
                           "(the zero function has none)")
     c, gammas = distribution_constant(space, r)
-    levels, _, _, F = sorted_profile(f.values, space.weights)
+    levels, _, F = _integrable_profile(space, f)
     avg_levels, _, avg_t, _ = sorted_profile(average(space, f, r).values, space.weights)
     # k is a searchsorted of the negated thresholds in the negated, so
     # nondecreasing, levels.  A c t above DBL_MAX is inf, with k = 0 and
@@ -243,7 +253,7 @@ def verify_rearrangement_bound(space: MetricMeasureSpace, f: FunctionOnSpace,
     if not np.any(f.values != 0):
         raise DomainError("the bound is trivial for the zero function")
     c, _ = distribution_constant(space, r)
-    levels, _, t, F = sorted_profile(f.values, space.weights)
+    levels, t, F = _integrable_profile(space, f)
     avg_levels, _, avg_t, _ = sorted_profile(average(space, f, r).values, space.weights)
     grid = _threshold_grid(np.concatenate((avg_t[1:][runs(avg_levels)[1]],
                                            t[1:][runs(levels)[1]])))

@@ -9,7 +9,9 @@ exception is the BLAS thread count: on a matrix space, the
 differ by 1 ulp between one and two threads.  JSON is streamed: it has
 the bytes of json.dumps(obj, indent=2, sort_keys=True), but is written
 chunk by chunk, to stdout or, with --out, to a temporary file renamed
-into place, so no command holds the whole text in memory.
+into place, so no command holds the whole text in memory.  A numpy array
+in the report is written a row at a time, so no command holds it as
+Python floats either.
 
 Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
@@ -20,7 +22,8 @@ A command reads its --space file and packs the file's float fields
 (`decode.pack_floats`) before it imports numpy or any numeric module of
 the package, which the handlers import where they need them: numpy's
 import then reuses the memory that the parse's float objects held, and a
-command loads only what it runs.
+command loads only what it runs.  A seeded command imports numpy.random
+without OpenSSL (see `_checked_seed`).
 """
 
 import argparse
@@ -32,7 +35,8 @@ import time
 from typing import TYPE_CHECKING
 
 # No hashlib: the input digests take the interpreter's built-in SHA-256 (see
-# _sha256), because hashlib loads OpenSSL's libcrypto, about 3.4 MB of
+# _sha256), and seeded draws import numpy.random without OpenSSL (see
+# _checked_seed), because hashlib loads OpenSSL's libcrypto, about 3.4 MB of
 # resident memory.
 from .decode import pack_floats
 from .errors import DomainError, MetricViolationError, NotInSpaceError
@@ -64,10 +68,12 @@ def _load_json(path: str):
 
 
 def _sha256():
-    """The SHA-256 constructor: hashlib's when hashlib is loaded already, as
-    numpy.random loads it, since OpenSSL's code is the fastest; otherwise the
-    interpreter's built-in one, which loads no OpenSSL (random.py does the
-    same for SHA-512); hashlib's when neither built-in module exists."""
+    """The SHA-256 constructor: hashlib's when hashlib is loaded already,
+    which is OpenSSL's, the fastest, unless hashlib came in without it, as
+    through numpy.random in a seeded command (see `_checked_seed`);
+    otherwise the interpreter's built-in one, which loads no OpenSSL
+    (random.py does the same for SHA-512); hashlib's when neither built-in
+    module exists."""
     if sys.modules.get("hashlib") is None:
         for name in ("_sha2", "_sha256"):  # Python 3.12 and later; 3.10 and 3.11
             try:
@@ -112,13 +118,19 @@ def _json_chunks(obj, indent: str = "\n"):
     document at once.  Here a list of plain scalars (such as a row of a
     distance matrix) is one chunk from one C-encoder call, with its ", "
     separators, which no scalar contains, turned into the indented form.
-    indent is the newline and indentation at obj's own depth.
+    A numpy array stands for its .tolist() form, which is never formed
+    whole: a vector is one such list, and an array of more dimensions is
+    read a row at a time.  indent is the newline and indentation at obj's
+    own depth.
     """
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    ndim = getattr(obj, "ndim", 0)  # a numpy array's; 0 for a numpy scalar
+    if ndim == 1:
+        obj = obj.tolist()
+    if ndim > 1 or isinstance(obj, (list, tuple)):
+        if not len(obj):
             yield "[]"
-        elif set(map(type, obj)) <= _SCALARS:
+        elif ndim < 2 and set(map(type, obj)) <= _SCALARS:
             yield "[" + inner + _encode(obj)[1:-1].replace(", ", "," + inner) + indent + "]"
         else:
             yield "["
@@ -195,9 +207,23 @@ def _norm_spec(args) -> "NormSpec":
 
 
 def _checked_seed(seed: int) -> int:
-    """seed, if numpy's generators take it: they refuse a negative one."""
+    """seed, if numpy's generators take it: they refuse a negative one.
+
+    Every draw comes after this check, so numpy.random is imported here,
+    without OpenSSL.  It imports secrets, hmac and hashlib, which load
+    OpenSSL's libcrypto through _hashlib.  A None entry in sys.modules
+    makes that import raise ImportError, and hashlib and hmac then take the
+    interpreter's own hash modules.  A process that has loaded _hashlib
+    already keeps it."""
     if seed < 0:
         raise CLIError(f"--seed must be nonnegative, not {seed}")
+    if "_hashlib" not in sys.modules:
+        modules = sys.modules
+        modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del modules["_hashlib"]
     return seed
 
 
@@ -380,7 +406,7 @@ def _cmd_witness(args) -> int:
         report.update({
             "checked_pairs": m * (m - 1) // 2,
             "min_pairwise": rep.min_pairwise,
-            "distances": rep.distances.tolist(),
+            "distances": rep.distances,
             "witness_norms": rep.witness_norms,
             "pass": bool(averaging.holds(rep.c_lower, rep.min_pairwise)),
         })
@@ -447,7 +473,7 @@ def _cmd_approx(args) -> int:
         "centers": rep.centers,
         "radii": rep.radii,
         "coefficients": rep.coefficients,
-        "values": rep.function.values.tolist(),
+        "values": rep.function.values,
         "error": rep.error,
         "remainder_norm": rep.remainder_norm,
     }, args.out)

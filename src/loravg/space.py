@@ -617,21 +617,21 @@ class MetricMeasureSpace:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Canonical JSON form: explicit matrix plus weights."""
-        return {
-            "kind": "matrix",
-            "dist": self.dist.tolist(),
-            "weights": self.weights.tolist(),
-        }
+        """Canonical JSON form: explicit matrix plus weights, given as the
+        space's read-only float arrays, which `build_space` takes back.
+        The CLI writes them a row at a time; json.dumps needs their
+        .tolist()."""
+        return {"kind": "matrix", "dist": self.dist, "weights": self.weights}
 
 
 _MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a MemoryError
 
 
 def _floats(raw, key: str) -> np.ndarray:
-    """raw, the space field key as parsed from JSON or packed by
-    `pack_floats`, as a float array; DomainError if it does not convert."""
-    packed = pack_floats(raw)
+    """raw, the space field key as parsed from JSON, packed by `pack_floats`
+    or a float array (as `to_json` gives), as a float array; DomainError if
+    it does not convert."""
+    packed = raw if isinstance(raw, np.ndarray) and raw.dtype == float else pack_floats(raw)
     if packed is None:
         raise DomainError(f"space field {key!r} is not numeric")
     return np.asarray(packed)

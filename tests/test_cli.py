@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import loravg
-from loravg.cli import _build_parser, _emit_json, _verify_equicontinuity, dispatch
+from loravg.cli import (_build_parser, _cmd_build_space, _emit_json, _verify_equicontinuity,
+                        dispatch)
 from loravg.compactness import sample_unit_sphere
 
 
@@ -573,6 +576,22 @@ def test_overflowing_equicontinuity_bound_exits_two(tmp_path, values, r, argv):
     assert len(err) == 2 and err[1].startswith("wall_time_s=")
 
 
+@pytest.mark.parametrize("lemma", ["distribution", "rearrange"])
+def test_overflowing_integral_of_f_exits_two(tmp_path, lemma):
+    """Weights of 8e307 have a finite total, but the integral of |f| is
+    2.4e308: f** and the integrals over the level sets read inf, and the
+    checks passed, with lhs 0 or after numpy's overflow warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err, out = _run_files(tmp_path, {**_PATH3, "weights": [8e307, 8e307, 1]},
+                                    [1, 2, 3], ["verify", "--lemma", lemma, "--r", "1",
+                                                "--p", "2", "--q", "2"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2 and out == ""
+    assert err[0] == "error: the integral of |f| overflows the floating-point range"
+    assert len(err) == 2 and err[1].startswith("wall_time_s=")
+
+
 def test_equicontinuity_on_balls_that_are_the_whole_space_exits_two(tmp_path):
     """At r >= diameter every bound is exactly 0, and the modulus with it."""
     code, err, _ = _run_files(tmp_path, {**_PATH3, "weights": [1, 2, 1]}, [1, 2, 3],
@@ -1069,6 +1088,38 @@ def test_emit_json_streams_in_bounded_memory(tmp_path):
     payload = _sweep_like_space().to_json()
     with open(tmp_path / "out.json", "w") as sink, contextlib.redirect_stdout(sink):
         assert _traced_peak_mb(_emit_json, payload, None) < 1.0
+
+
+def test_build_space_emits_the_matrix_a_row_at_a_time(tmp_path, monkeypatch):
+    """Beyond the space it built, the build-space handler holds about one
+    row of the 400 x 400 matrix as Python floats; the matrix's .tolist()
+    alone took about 5 MB."""
+    sp = _sweep_like_space()
+    monkeypatch.setattr("loravg.cli._space_from_args", lambda args: sp)
+    args = argparse.Namespace(space="unused", out=None)
+    with open(tmp_path / "out.json", "w") as sink, contextlib.redirect_stdout(sink):
+        assert _traced_peak_mb(_cmd_build_space, args) < 1.0
+
+
+_ARRAY_FLOATS = st.one_of(st.floats(),
+                          st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-7]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0,), (2, 0), (3, 4)]).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_ARRAY_FLOATS)))
+@example(np.array([[-0.0, math.nan, math.inf, -math.inf], [1e16, 1e-7, 0.1, 1.0],
+                   [2.5, -3.0, 5e-324, 1.7976931348623157e308]]))
+def test_streamed_arrays_are_byte_identical_to_their_lists(arr):
+    """The emitter writes a numpy array, alone or inside a report, as
+    json.dumps(..., indent=2, sort_keys=True) writes its .tolist()."""
+    listed = arr.tolist()
+    for obj, expected in ((arr, listed),
+                          ({"b": [arr, 1.5], "a": arr}, {"b": [listed, 1.5], "a": listed})):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_json(obj, None)
+        assert out.getvalue() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_equicontinuity_check_runs_in_bounded_memory():

@@ -119,15 +119,16 @@ print(json.dumps(report))
 """
 
 # A fresh process runs one command, its artifact discarded, and reports on
-# stderr its exit code, the package modules loaded, whether OpenSSL's
-# _hashlib was and whether numpy.ma was.
+# stderr its exit code, the package modules loaded, and whether OpenSSL's
+# _hashlib, numpy.ma and numpy.random were.
 _COMMAND_GUARD = """
 import contextlib, io, json, sys
 from loravg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("loravg.")),
-                  "_hashlib" in sys.modules, "numpy.ma" in sys.modules]), file=sys.stderr)
+                  *(name in sys.modules for name in ("_hashlib", "numpy.ma", "numpy.random"))]),
+      file=sys.stderr)
 """
 
 # Every command below loads cli, decode, errors and space; one that reads a
@@ -136,8 +137,9 @@ _CLI_MODULES = ["cli", "decode", "errors", "space"]
 _NORMS = ["norms", "rearrange"]
 _P2_Q2 = ["--p", "2", "--q", "2"]
 # name -> (argv, the package modules it loads beyond _CLI_MODULES, whether
-# it loads _hashlib).  Only numpy.random, which a seeded run draws from,
-# brings in hashlib and with it OpenSSL; the input digests do not.
+# it is seeded).  A seeded run draws from numpy.random, which imports
+# hashlib; the command imports it with OpenSSL's _hashlib blocked, so no
+# row loads OpenSSL, and the input digests take the built-in SHA-256.
 _COMMAND_IMPORTS = {
     "build-space": (["build-space", "--space", "SPACE"], [], False),
     "avg": (["avg", "--space", "SPACE", "--fn", "FN", "--r", "1"], ["averaging", *_NORMS], False),
@@ -155,6 +157,8 @@ _COMMAND_IMPORTS = {
     "verify equicontinuity": (["verify", "--lemma", "equicontinuity", "--space", "SPACE",
                                "--seed", "1", "--r", "1", *_P2_Q2],
                               ["averaging", "compactness", *_NORMS], True),
+    "probe": (["probe", "--family", "lattice:4:6:2", "--r", "1", "--epsilon", "0.5", "--n", "3",
+               "--seed", "1", *_P2_Q2], ["averaging", "compactness", "svgplot", *_NORMS], True),
 }
 
 
@@ -178,19 +182,19 @@ def test_package_names_are_lazy():
 
 def test_commands_import_only_what_they_run(tmp_path):
     """Each command, in a fresh process, exits 0 having loaded the package
-    modules of its row in _COMMAND_IMPORTS, OpenSSL only if the row says
-    so, and never numpy.ma, which numpy 2.4's np.unique imports; a mismatch
-    is reported under the command's name."""
+    modules of its row in _COMMAND_IMPORTS, numpy.random if and only if the
+    row is seeded, and never OpenSSL or numpy.ma, which numpy 2.4's
+    np.unique imports; a mismatch is reported under the command's name."""
     files = {"SPACE": tmp_path / "space.json", "FN": tmp_path / "fn.json"}
     files["SPACE"].write_text(json.dumps({"kind": "cloud", "metric": "l1",
                                           "coords": [[float(x)] for x in range(12)]}))
     files["FN"].write_text(json.dumps({"values": [0.5, -1, 2, 0, 1, 1, 3, -2, 0.25, 1, 0, 2]}))
     seen, expected = {}, {}
-    for name, (argv, modules, openssl) in _COMMAND_IMPORTS.items():
+    for name, (argv, modules, seeded) in _COMMAND_IMPORTS.items():
         argv = [str(files.get(arg, arg)) for arg in argv]
         res = _run_fresh(_COMMAND_GUARD, json.dumps(argv))
         seen[name] = json.loads(res.stderr.strip().splitlines()[-1])
-        expected[name] = [0, sorted(_CLI_MODULES + modules), openssl, False]
+        expected[name] = [0, sorted(_CLI_MODULES + modules), False, False, seeded]
     assert seen == expected
 
 
