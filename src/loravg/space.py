@@ -29,7 +29,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,13 @@ _BLOCK_ENTRIES = 1 << 18
 # float64, the size of every float operand those blocks form.
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
-# Half the float64 entries of the triangle check's buffer, summed over its
-# threads: 1 MB in all.  A tile's pivot sums and their minima fit a
-# thread's share, which stays in cache from the sums to the reduction.
+# Half the float64 entries of the triangle check's buffer: 1 MB in all.  A
+# tile's pivot sums and their minima fit it, and it stays in cache from the
+# sums to the reduction.
 _TRIANGLE_BLOCK_ENTRIES = 1 << 16
 
 # Rows per row tile of the triangle check, at most; a tile then takes as
-# many columns as its thread's buffer holds.
+# many columns as the buffer holds.
 _TRIANGLE_TILE_ROWS = 8
 
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
@@ -76,12 +75,7 @@ def _max_atoms() -> int:
     return cap
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
+@np.errstate(over="ignore")  # an overflowing sum witnesses no violation
 def _least_triangle_violation(dist: np.ndarray, tol: float):
     """The least (k, i, j) with d(i, j) > (d(i, k) + d(k, j)) + tol, or None.
 
@@ -97,88 +91,46 @@ def _least_triangle_violation(dist: np.ndarray, tol: float):
     violation in (k, i, j) order.  Once a triple is found, later tiles sum
     only the pivots up to its k, since no larger pivot gives a lesser one.
 
-    min(usable CPUs, row tiles) threads, the caller among them, take the
-    row tiles [a, b) x [a + 1, n) from a shared counter, so a stalled CPU
-    holds up at most one row tile; numpy releases the GIL inside its ufunc
-    loops and reductions.  A row tile has at most _TRIANGLE_TILE_ROWS rows,
-    and a tile's sums and least sums fit its thread's buffer, a slice of
-    2 * _TRIANGLE_BLOCK_ENTRIES float64 entries allocated here (or of one
-    pair's n + 1 entries a thread, where that is more).  The threads stop
-    after the first exception, which is raised here once all have stopped.
+    Row tiles [a, b) x [a + 1, n) have at most _TRIANGLE_TILE_ROWS rows.  A
+    tile's sums and least sums fit one buffer of 2 * _TRIANGLE_BLOCK_ENTRIES
+    float64 entries (or one pair's n + 1 entries, where that is more).
     """
     n = dist.shape[0]
-
-    def rows_and_cols(workers):  # of the widest tile, over all pivots
-        entries = 2 * _TRIANGLE_BLOCK_ENTRIES // workers // (n + 1)
-        rows = max(1, min(_TRIANGLE_TILE_ROWS, entries))
-        return rows, max(1, min(n - 1, entries // rows))
-
-    workers = min(_usable_cpus(), max(1, -(-(n - 1) // rows_and_cols(1)[0])))
-    rows, cols = rows_and_cols(workers)
-    entries = rows * cols * (n + 1)
-    starts = range(0, n - 1, rows)
-    taken = itertools.count()  # next() is atomic under the GIL
-    stop, errors, lock = threading.Event(), [], threading.Lock()
-    least = [(n, n, n)]  # the least (k, i, j) found so far, written under lock
-
-    # An overflowing sum witnesses no violation; numpy's error state is per thread.
-    @np.errstate(over="ignore")
-    def work(buffer):
-        try:
-            while not stop.is_set() and (t := next(taken)) < len(starts):
-                a = starts[t]
-                b = min(a + rows, n)
-                c = a + 1
-                while c < n:
-                    pivots = min(n, least[0][0] + 1)
-                    e = min(n, c + max(1, entries // ((b - a) * (pivots + 1))))
-                    size = (b - a) * (e - c)
-                    sums = buffer[:size * pivots].reshape(b - a, e - c, pivots)
-                    low = buffer[size * pivots:size * (pivots + 1)].reshape(b - a, e - c)
-                    np.add(dist[a:b, None, :pivots], dist[None, c:e, :pivots], out=sums)
-                    np.minimum.reduce(sums, axis=2, out=low)
-                    low += tol
-                    # low - d < 0 exactly where d > low; in place, because a
-                    # temporary in a thread grows the heap of its own arena.
-                    np.subtract(low, dist[a:b, c:e], out=low)
-                    if low.min() < 0:  # find the first violating pivot of each pair
-                        np.add(sums, tol, out=sums)
-                        first = np.less(sums, dist[a:b, c:e, None]).argmax(axis=2)
-                        i, j = np.nonzero(low < 0)  # in row-major order
-                        at = first[i, j].argmin()  # the least (i, j) of the least k
-                        found = int(first[i[at], j[at]]), a + int(i[at]), c + int(j[at])
-                        with lock:
-                            least[0] = min(least[0], found)
-                    c = e
-        except BaseException as err:
-            errors.append(err)
-            stop.set()
-
-    buffers = np.empty((workers, entries))
-    threads = [threading.Thread(target=work, args=(buffer,)) for buffer in buffers[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        work(buffers[0])
-    finally:
-        stop.set()  # all tiles are taken unless a thread failed to start
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
-    return None if least[0][0] == n else least[0]
+    pairs = 2 * _TRIANGLE_BLOCK_ENTRIES // (n + 1)  # of the widest tile, over all pivots
+    rows = max(1, min(_TRIANGLE_TILE_ROWS, pairs))
+    buffer = np.empty(rows * max(1, min(n - 1, pairs // rows)) * (n + 1))
+    least = (n, n, n)  # the least (k, i, j) found so far
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n)
+        c = a + 1
+        while c < n:
+            pivots = min(n, least[0] + 1)
+            e = min(n, c + max(1, buffer.size // ((b - a) * (pivots + 1))))
+            size = (b - a) * (e - c)
+            sums = buffer[:size * pivots].reshape(b - a, e - c, pivots)
+            low = buffer[size * pivots:size * (pivots + 1)].reshape(b - a, e - c)
+            np.add(dist[a:b, None, :pivots], dist[None, c:e, :pivots], out=sums)
+            np.minimum.reduce(sums, axis=2, out=low)
+            low += tol
+            np.subtract(low, dist[a:b, c:e], out=low)  # < 0 exactly where d > low
+            if low.min() < 0:  # find the first violating pivot of each pair
+                np.add(sums, tol, out=sums)
+                first = np.less(sums, dist[a:b, c:e, None]).argmax(axis=2)
+                i, j = np.nonzero(low < 0)  # in row-major order
+                at = first[i, j].argmin()  # the least (i, j) of the least k
+                least = min(least, (int(first[i[at], j[at]]), a + int(i[at]), c + int(j[at])))
+            c = e
+    return None if least[0] == n else least
 
 
 def validate_metric(dist: np.ndarray) -> None:
     """Check symmetry, zero diagonal, nonnegativity and all triangles.
 
-    O(n^3), vectorized over tiles of pairs that the usable CPUs share, one
-    thread each, with no thread when there is one row tile or one CPU (see
-    `_least_triangle_violation`).  All threads together hold a buffer of
-    2 * _TRIANGLE_BLOCK_ENTRIES float64 entries.  Raises
-    MetricViolationError with the witness triple (i, k, j) that comes
-    first in (k, i, j) order on a triangle failure, found in the same pass.
+    O(n^3), vectorized over tiles of pairs on the calling thread, in a
+    buffer of 2 * _TRIANGLE_BLOCK_ENTRIES float64 entries (see
+    `_least_triangle_violation`).  Raises MetricViolationError with the
+    witness triple (i, k, j) that comes first in (k, i, j) order on a
+    triangle failure, found in the same pass.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -220,15 +172,25 @@ def _check_radius(r: float) -> None:
 
 
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
-    """The (n,) weights as a read-only array, if there is at least one, every
-    one is positive and their total, a bound on every ball measure, is finite."""
+    """The (n,) weights, if there is at least one, every one is positive and
+    their total, a bound on every ball measure, is finite."""
     if weights.size == 0:
         raise DomainError("space must contain at least one atom")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN in, inf or NaN out
         if np.any(weights <= 0) or not np.isfinite(weights.sum()):
             raise DomainError("atom weights must be positive and finite, and so must their total")
-    weights.setflags(write=False)
     return weights
+
+
+def _read_only(a) -> np.ndarray:
+    """a as a read-only C-contiguous float array.  Such an array, as the
+    constructors hand over, is taken as it is; anything else is copied, so
+    a caller's arrays stay writeable and later writes to them miss the space."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.c_contiguous
+            and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
+        a.setflags(write=False)
+    return a
 
 
 class MetricMeasureSpace:
@@ -242,8 +204,7 @@ class MetricMeasureSpace:
     """
 
     def __init__(self, dist, weights, metric_by_construction: bool = False):
-        dist = np.ascontiguousarray(np.asarray(dist, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
+        dist, weights = _read_only(dist), _read_only(weights)
         if weights.ndim != 1 or dist.shape != (weights.size, weights.size):
             raise DomainError("need an n x n distance matrix and n weights")
         weights = _checked_weights(weights)
@@ -256,7 +217,6 @@ class MetricMeasureSpace:
                     "metric_by_construction=True for a metric known to be valid"
                 )
             validate_metric(dist)
-        dist.setflags(write=False)
         self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
                              metric=None, metric_by_construction=metric_by_construction,
                              _measures={}, _runs={}, _atom_run_memo={})
@@ -264,11 +224,9 @@ class MetricMeasureSpace:
     @classmethod
     def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
         """Line space on the 1-D coordinates coords under from_cloud's metric."""
-        coords = np.array(coords, dtype=float)
-        weights = np.array(weights, dtype=float)
+        coords, weights = _read_only(coords), _read_only(weights)
         if weights.shape != coords.shape:
             raise DomainError("need one weight per point")
-        coords.setflags(write=False)
         order = np.argsort(coords, kind="stable")
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
@@ -533,8 +491,7 @@ class MetricMeasureSpace:
 
     @classmethod
     def from_matrix(cls, dist, weights, skip_validation: bool = False):
-        return cls(np.asarray(dist, dtype=float), np.asarray(weights, dtype=float),
-                   metric_by_construction=skip_validation)
+        return cls(dist, weights, metric_by_construction=skip_validation)
 
     @classmethod
     def from_cloud(cls, coords, metric: str = "euclidean", weights=None):
@@ -572,6 +529,7 @@ class MetricMeasureSpace:
                         combine(dist, term, out=dist)
                 if metric == "euclidean":
                     np.sqrt(dist, out=dist)
+                dist.setflags(write=False)
                 space = cls(dist, weights, metric_by_construction=True)
             if not math.isfinite(space.diameter):
                 raise DomainError("the distances between the points overflow")
@@ -610,9 +568,8 @@ class MetricMeasureSpace:
         if not np.all(np.isfinite(dist)):
             raise DomainError("graph is not connected")
         dist = np.minimum(dist, dist.T)
-        if weights is None:
-            weights = np.ones(n)
-        return cls(dist, np.asarray(weights, dtype=float), metric_by_construction=True)
+        dist.setflags(write=False)
+        return cls(dist, np.ones(n) if weights is None else weights, metric_by_construction=True)
 
     # -- serialization -------------------------------------------------------
 
@@ -630,11 +587,16 @@ _MAX_SIZE = np.iinfo(np.intp).max // 16  # numpy refuses larger arrays without a
 def _floats(raw, key: str) -> np.ndarray:
     """raw, the space field key as parsed from JSON, packed by `pack_floats`
     or a float array (as `to_json` gives), as a float array; DomainError if
-    it does not convert."""
-    packed = raw if isinstance(raw, np.ndarray) and raw.dtype == float else pack_floats(raw)
+    it does not convert.  An array made here is read-only, so a space
+    takes it without a copy."""
+    if isinstance(raw, np.ndarray) and raw.dtype == float:
+        return raw
+    packed = pack_floats(raw)
     if packed is None:
         raise DomainError(f"space field {key!r} is not numeric")
-    return np.asarray(packed)
+    floats = np.asarray(packed)
+    floats.setflags(write=False)
+    return floats
 
 
 def _size_field(spec: dict, key: str) -> int:

@@ -1,4 +1,11 @@
 import itertools
+import sys
+from pathlib import Path
+
+# A run of the tests writes no bytecode, so that it leaves none in a tree
+# whose commands are later timed or measured; `fresh_env` does the same for
+# the processes that tests start.
+sys.dont_write_bytecode = True
 
 import numpy as np
 import pytest
@@ -53,6 +60,14 @@ def random_radius(rng, space) -> float:
     if positive.size == 0:
         return 1.0
     return float(np.quantile(positive, rng.uniform(0.1, 0.5)))
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh `python` process that imports loravg from
+    this source tree and writes no bytecode into it, plus the variables
+    extra names (such as OPENBLAS_NUM_THREADS)."""
+    src = str(Path(space_mod.__file__).resolve().parent.parent)
+    return {"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1", **extra}
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ import loravg
 from loravg.cli import (_build_parser, _cmd_build_space, _emit_json, _verify_equicontinuity,
                         dispatch)
 from loravg.compactness import sample_unit_sphere
+
+from conftest import fresh_env
 
 
 @pytest.fixture
@@ -178,10 +179,9 @@ def test_cloud_commands_import_no_heavy_scipy_modules(tmp_path):
                                  "weights": [1.0, 0.5, 2.0, 1.0, 0.3, 1.2]}))
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"values": [1.0, -0.5, 0.25, 2.0, 0.0, -1.5]}))
-    src = str(Path(loravg.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(space), str(fn)],
                          capture_output=True, text=True, timeout=120,
-                         env={"PYTHONPATH": src, "PATH": ""})
+                         env=fresh_env())
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stderr.strip().splitlines()[-1]) == []
 
@@ -504,11 +504,10 @@ def test_verify_distribution_near_dblmax_prints_no_warning(tmp_path):
                                  "weights": [1, 2, 1]}))
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"values": [1e308, 1, 0.5]}))
-    src = str(Path(loravg.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma",
                           "distribution", "--space", str(space), "--fn", str(fn), "--r", "1",
                           "--p", "2", "--q", "2"], capture_output=True, text=True,
-                         timeout=120, env={"PYTHONPATH": src, "PATH": ""})
+                         timeout=120, env=fresh_env())
     assert res.returncode == 0
     assert res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1
     report = json.loads(res.stdout)
@@ -647,14 +646,13 @@ def test_out_of_memory_exits_two(tmp_path):
     resource = pytest.importorskip("resource")
     space = tmp_path / "big.json"
     space.write_text(json.dumps({"kind": "lattice", "L": 20000}))
-    src = str(Path(loravg.__file__).resolve().parent.parent)
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     res = subprocess.run([sys.executable, "-m", "loravg.cli", "build-space", "--space",
                           str(space)], capture_output=True, text=True, timeout=120,
-                         env={"PYTHONPATH": src, "PATH": ""}, preexec_fn=cap_memory)
+                         env=fresh_env(), preexec_fn=cap_memory)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
@@ -679,11 +677,9 @@ def test_line_space_commands_fit_without_a_distance_matrix(tmp_path, command):
                                  "weights": rng.uniform(0.2, 3.0, n).tolist()}))
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps({"values": np.round(rng.standard_normal(n), 2).tolist()}))
-    src = str(Path(loravg.__file__).resolve().parent.parent)
     # BLAS thread pools reserve address space per thread; one thread keeps
     # the cap independent of the core count.
-    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -1156,9 +1152,7 @@ def test_line_space_equicontinuity_fits_without_a_distance_matrix(tmp_path):
     space.write_text(json.dumps({"kind": "cloud", "metric": "l1",
                                  "coords": rng.uniform(0, 2000, (n, 1)).tolist(),
                                  "weights": rng.uniform(0.2, 3.0, n).tolist()}))
-    src = str(Path(loravg.__file__).resolve().parent.parent)
-    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -13,6 +13,8 @@ import pytest
 import loravg
 from loravg import cli
 
+from conftest import fresh_env
+
 
 def test_no_assert_statements_in_package():
     """Invariants are explicit errors, because `python -O` strips asserts."""
@@ -82,7 +84,6 @@ def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):
     workloads = _module_at(bench / "workloads.py", "workloads")
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # oracle.py imports it by name
     oracle = _module_at(bench / "oracle.py", "bench_oracle")
-    src = str(Path(loravg.__file__).resolve().parent.parent)
     ran, problems = 0, []
     for name in sorted(workloads.WORKLOADS):
         files = workloads.generate(name, 3, tmp_path / name)
@@ -90,7 +91,7 @@ def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):
         for argv in workloads.commands(name, files, 3):
             res = subprocess.run([sys.executable, "-m", "loravg.cli", *argv],
                                  capture_output=True, text=True, timeout=120,
-                                 env={"PYTHONPATH": src, "PATH": ""})
+                                 env=fresh_env())
             outcome = oracle.Outcome(argv, res.returncode, res.stdout, res.stderr)
             ran += 1
             problems += [(name, argv, p) for p in oracle.check(name, outcome, expected)]
@@ -163,9 +164,8 @@ _COMMAND_IMPORTS = {
 
 
 def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
-    src = str(Path(loravg.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                         timeout=120, env={"PYTHONPATH": src, "PATH": ""})
+                         timeout=120, env=fresh_env())
     assert res.returncode == 0, res.stderr
     return res
 

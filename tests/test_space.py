@@ -39,7 +39,7 @@ from loravg.averaging import equicontinuity_bound_matrix, holds
 from loravg.cli import CLIError, _verify_equicontinuity, dispatch
 from loravg.decode import pack_floats
 from loravg.compactness import _separated_count
-from conftest import (matrix_cases, random_space, reference_separated_points,
+from conftest import (fresh_env, matrix_cases, random_space, reference_separated_points,
                       reference_triangle_witness)
 
 
@@ -518,14 +518,12 @@ def corrupted_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corrupted_matrices(), st.integers(1, 64), st.sampled_from([1, 4]))
-def test_blockwise_triangle_check_matches_pivot_loop(dist, block, cpus):
-    """With 1 usable CPU the check runs on the caller alone; with 4 and
-    small blocks, up to 4 threads share them.  The verdict, message and
-    witness are those of the pivot loop either way."""
+@given(corrupted_matrices(), st.integers(1, 64))
+def test_blockwise_triangle_check_matches_pivot_loop(dist, block):
+    """At every block budget, down to tiles of one pair, the verdict,
+    message and witness are those of the pivot loop."""
     want = reference_triangle_witness(dist)
-    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: set(range(cpus))), \
-            mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", block):
+    with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", block):
         if want is None:
             space_mod.validate_metric(dist)
             return
@@ -537,20 +535,31 @@ def test_blockwise_triangle_check_matches_pivot_loop(dist, block, cpus):
                               f"d({i},{k})+d({k},{j})={dist[i, k] + dist[k, j]}")
 
 
-@pytest.mark.parametrize("planted", [False, True])
-def test_threads_share_a_large_triangle_check(planted):
-    """A 150-atom grid in tiles of one pair, on 4 threads: the threads
-    overlap in time, and each keeps to its own buffer.  A violation planted
-    in the last rows is found with the pivot loop's witness."""
-    coords = np.array([(x, y) for x in range(15) for y in range(10)], dtype=float)
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-    if planted:
-        dist[140, 149] = dist[149, 140] = 2 * dist[140, 149]
-    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
+def _l1_grid(width: int, height: int) -> np.ndarray:
+    """The l1 distances of the points of a width x height integer grid."""
+    coords = np.array([(x, y) for x in range(width) for y in range(height)], dtype=float)
+    return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+
+
+def test_validation_starts_no_thread():
+    """The triangle check of a 150-atom grid in tiles of one pair runs on
+    the calling thread alone, though 4 CPUs are usable."""
+    def refuse(thread):
+        raise AssertionError("validation started a thread")
+
+    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                           create=True), \
+            mock.patch.object(threading.Thread, "start", refuse), \
             mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 150):
-        if not planted:
-            space_mod.validate_metric(dist)
-            return
+        space_mod.validate_metric(_l1_grid(15, 10))
+
+
+def test_one_pair_tiles_find_a_planted_witness():
+    """A violation planted in the last rows of a 150-atom grid, checked in
+    tiles of one pair, is found with the pivot loop's witness."""
+    dist = _l1_grid(15, 10)
+    dist[140, 149] = dist[149, 140] = 2 * dist[140, 149]
+    with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 150):
         with pytest.raises(MetricViolationError) as err:
             space_mod.validate_metric(dist)
     assert err.value.witness == reference_triangle_witness(dist)
@@ -566,8 +575,7 @@ def test_triangle_sums_that_overflow_raise_no_warning(tmp_path):
     finite distance.  The check passes on the two-atom matrix under the
     RuntimeWarning filter, and `build-space` on it, in a fresh process,
     writes only its wall time on stderr; both printed numpy's overflow
-    warning.  Among such sums a real violation, on 4 threads, keeps its
-    witness."""
+    warning.  Among such sums a real violation keeps its witness."""
     big = float(_NEAR_DBL_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -575,8 +583,7 @@ def test_triangle_sums_that_overflow_raise_no_warning(tmp_path):
         dist = np.full((20, 20), big)
         np.fill_diagonal(dist, 0.0)
         dist[0, 12] = dist[12, 0] = dist[12, 15] = dist[15, 12] = 1.0
-        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
-                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 400):
+        with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 400):
             with pytest.raises(MetricViolationError) as err:
                 space_mod.validate_metric(dist)
     assert err.value.witness == (0, 12, 15)
@@ -584,10 +591,9 @@ def test_triangle_sums_that_overflow_raise_no_warning(tmp_path):
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"kind": "matrix",
                                 "dist": [[0, _NEAR_DBL_MAX], [_NEAR_DBL_MAX, 0]]}))
-    src = str(Path(space_mod.__file__).resolve().parent.parent)
     res = subprocess.run([sys.executable, "-m", "loravg.cli", "build-space", "--space", str(path)],
                          capture_output=True, text=True, timeout=120,
-                         env={"PYTHONPATH": src, "PATH": ""})
+                         env=fresh_env())
     assert res.returncode == 0
     assert res.stderr.startswith("wall_time_s=") and len(res.stderr.splitlines()) == 1
 
@@ -600,118 +606,154 @@ def _planted(dist, i, j, excess):
 
 def test_triangle_tiles_cover_every_pair():
     """One violation planted at each pair i < j of a 13-atom l1 grid is
-    found, on 1 to 4 threads.  Rows 0..11 start pairs, so across these
+    found at each block budget.  Rows 0..11 start pairs, so across these
     budgets row tiles of 5, 7 or 8 rows leave a partial last row tile, and
-    column tiles of 3, 7, 8 or 12 columns leave partial column tiles."""
-    coords = np.array([(x, y) for x in range(4) for y in range(4)][:13], dtype=float)
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    column tiles of 3 or 7 columns leave partial column tiles."""
+    dist = _l1_grid(4, 4)[:13, :13]
     space_mod.validate_metric(dist)
-    for cpus in (1, 4):
-        for budget in (1, 35, 100, 200, 400, 1000):
-            with mock.patch.object(space_mod.os, "sched_getaffinity",
-                                   lambda pid: set(range(cpus))), \
-                    mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", budget):
-                for i, j in zip(*np.triu_indices(13, 1)):
-                    bad = _planted(dist, i, j, 2.5)
-                    want = reference_triangle_witness(bad)
-                    assert want is not None and {want[0], want[2]} == {i, j}
-                    with pytest.raises(MetricViolationError) as err:
-                        space_mod.validate_metric(bad)
-                    assert err.value.witness == want, (cpus, budget, i, j)
+    for budget in (1, 35, 50, 100, 200, 400, 1000):
+        with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", budget):
+            for i, j in zip(*np.triu_indices(13, 1)):
+                bad = _planted(dist, i, j, 2.5)
+                want = reference_triangle_witness(bad)
+                assert want is not None and {want[0], want[2]} == {i, j}
+                with pytest.raises(MetricViolationError) as err:
+                    space_mod.validate_metric(bad)
+                assert err.value.witness == want, (budget, i, j)
 
 
-def test_tied_witnesses_on_threads():
+def test_tied_witnesses_in_one_pair_tiles():
     """The pair (2, 12) and every pair of atoms 3..11 first violate at
-    pivot 1, in one-pair tiles that 4 threads take in any order.  The
-    thread on row 2 reaches (2, 12) after nine clean tiles, most often
-    after (3, 4) has been found, and the least (i, j) must still win."""
+    pivot 1.  In one-pair tiles (2, 12) is found first, and the later
+    (3, 4), at the same pivot, must not replace it."""
     dist = np.full((13, 13), 2.0)
     dist[0, :] = dist[:, 0] = 3.0
     dist[3:12, 3:12] = dist[2, 12] = dist[12, 2] = 4.5
     np.fill_diagonal(dist, 0.0)
     assert reference_triangle_witness(dist) == (2, 1, 12)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
-                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 1):
-            for _ in range(50):
-                with pytest.raises(MetricViolationError) as err:
-                    space_mod.validate_metric(dist)
-                assert err.value.witness == (2, 1, 12)
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 1):
+        with pytest.raises(MetricViolationError) as err:
+            space_mod.validate_metric(dist)
+    assert err.value.witness == (2, 1, 12)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_triangle_check_memory_stays_within_its_buffer(cpus):
+def test_triangle_check_memory_stays_within_its_buffer():
     """At n = 600 the check's numpy allocations peak below its buffer of
     2 * _TRIANGLE_BLOCK_ENTRIES float64 plus one n x n bool array, whether
     the matrix is a metric, breaks one triangle at a late pivot or breaks
     most of them; an n x n float array (2.9 MB) would not fit.  numpy's
-    ufunc iterator adds buffers of its own, up to about 130 kB a thread,
-    to each broadcast sum, so the thread count is fixed here."""
+    ufunc iterator adds buffers of its own, up to about 130 kB, to each
+    broadcast sum."""
     n = 600
     line = np.arange(n, dtype=float)
     valid = np.abs(line[:, None] - line[None, :])
     late = _planted(valid, n - 3, n - 1, 0.5)
     noise = np.triu(np.random.default_rng(3).random((n, n)), 1)
     bound = 2 * space_mod._TRIANGLE_BLOCK_ENTRIES * 8 + n * n
-    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: set(range(cpus))):
-        for dist in (valid, late, noise + noise.T):
-            tracemalloc.start()
-            try:
-                with contextlib.suppress(MetricViolationError):
-                    space_mod.validate_metric(dist)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound, (peak, bound)
-        with pytest.raises(MetricViolationError) as err:
-            space_mod.validate_metric(late)
+    for dist in (valid, late, noise + noise.T):
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(MetricViolationError):
+                space_mod.validate_metric(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+    with pytest.raises(MetricViolationError) as err:
+        space_mod.validate_metric(late)
     assert err.value.witness == (n - 3, n - 2, n - 1)
 
 
-class _NumpyFailingInWorkers:
-    """numpy, except that np.add raises MemoryError on any thread but the
-    main one; the main thread waits for that first."""
+class _NumpyFailingInAdd:
+    """numpy, except that np.add raises MemoryError, and records the thread
+    that called it."""
 
     def __init__(self):
-        self.raised = threading.Event()
+        self.callers = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def add(self, *args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            self.raised.set()
-            raise MemoryError("injected in a validation thread")
-        self.raised.wait(timeout=30)
-        return np.add(*args, **kwargs)
+        self.callers.append(threading.current_thread())
+        raise MemoryError("injected in the triangle check")
 
 
-def test_triangle_check_worker_error_reaches_the_caller(tmp_path):
-    coords = np.array([(x, y) for x in range(6) for y in range(5)], dtype=float)
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+def test_triangle_check_error_reaches_the_caller(tmp_path):
+    """A MemoryError in the triangle check's sums propagates from
+    validate_metric, and `build-space` exits 2 with its `error:` line; the
+    check raised it on the calling thread and leaves no thread behind."""
+    dist = _l1_grid(6, 5)
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"kind": "matrix", "dist": dist.tolist()}))
     threads = threading.active_count()
     for run in ("direct", "cli"):
-        fake = _NumpyFailingInWorkers()
-        with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}), \
-                mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 64), \
+        fake = _NumpyFailingInAdd()
+        with mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 64), \
                 mock.patch.object(space_mod, "np", fake):
             if run == "direct":
-                with pytest.raises(MemoryError, match="validation thread"):
+                with pytest.raises(MemoryError, match="triangle check"):
                     space_mod.validate_metric(dist)
             else:
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     assert dispatch(["build-space", "--space", str(path)]) == 2
-                assert err.getvalue().startswith("error: injected in a validation thread")
-        assert fake.raised.is_set()
+                assert err.getvalue().startswith("error: injected in the triangle check")
+        assert fake.callers == [threading.main_thread()]
         assert threading.active_count() == threads
     space_mod.validate_metric(dist)  # and the real check passes
+
+
+def test_spaces_leave_the_callers_arrays_alone():
+    """A space copies the writeable arrays it is given: they stay writeable,
+    and a later write to them leaves the space unchanged, on every
+    constructor and on both space forms."""
+    dist = np.abs(np.arange(4.0)[:, None] - np.arange(4.0)[None, :])
+    weights = np.array([1.0, 2.0, 0.5, 3.0])
+    coords = np.array([[0.0, 1.0], [2.0, 0.5], [3.0, 3.0], [1.0, 4.0]])
+    spaces = [MetricMeasureSpace.from_matrix(dist, weights),
+              MetricMeasureSpace(dist, weights, metric_by_construction=True),
+              build_space({"kind": "matrix", "dist": dist, "weights": weights}),
+              MetricMeasureSpace.from_cloud(coords, metric="l1", weights=weights),
+              MetricMeasureSpace.from_cloud(coords[:, :1], weights=weights),
+              MetricMeasureSpace.lattice(3, weights=weights),
+              MetricMeasureSpace.from_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+                                            weights=weights)]
+    before = [(sp.dist.copy(), sp.weights.copy()) for sp in spaces]
+    assert dist.flags.writeable and weights.flags.writeable and coords.flags.writeable
+    dist[:], weights[:], coords[:] = 7.0, 9.0, -1.0
+    for sp, (d, w) in zip(spaces, before):
+        assert np.array_equal(sp.dist, d) and np.array_equal(sp.weights, w)
+        assert not sp.dist.flags.writeable and not sp.weights.flags.writeable
+
+
+def test_constructors_hand_their_matrix_over_without_a_copy():
+    """build_space (from JSON lists), from_cloud and from_graph give the
+    space the matrix they form: the space's __init__ allocates less than
+    half an n x n float array, where a copy would take all of it."""
+    n = 300
+    line = np.arange(n, dtype=float)
+    lists = np.abs(line[:, None] - line[None, :]).tolist()
+    coords = np.random.default_rng(5).uniform(0, 10, (n, 2))
+    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    init, extra = MetricMeasureSpace.__init__, []
+
+    def traced_init(self, *args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        init(self, *args, **kwargs)
+        extra.append(tracemalloc.get_traced_memory()[1] - before)
+
+    with mock.patch.object(MetricMeasureSpace, "__init__", traced_init), \
+            mock.patch.object(space_mod, "_TRIANGLE_BLOCK_ENTRIES", 64):
+        tracemalloc.start()
+        try:
+            build_space({"kind": "matrix", "dist": lists})
+            MetricMeasureSpace.from_cloud(coords, metric="l1")
+            MetricMeasureSpace.from_graph(n, edges)
+        finally:
+            tracemalloc.stop()
+    assert len(extra) == 3 and max(extra) < 4 * n * n, extra
 
 
 @st.composite
@@ -1159,9 +1201,7 @@ def test_matrix_blocks_and_tiles_have_the_bits_of_whole_products():
     kernel's means, and the column tiles of a block of symmetric
     differences, give the bits of the products over all rows or all
     columns, at 400 and 600 atoms."""
-    src = str(Path(space_mod.__file__).resolve().parent.parent)
-    env = {"PYTHONPATH": src, "PATH": "", "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     res = subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS,
                           str(Path(__file__).resolve().parent)],
                          capture_output=True, text=True, timeout=300, env=env)
