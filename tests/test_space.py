@@ -637,30 +637,34 @@ def test_tied_witnesses_in_one_pair_tiles():
     assert err.value.witness == (2, 1, 12)
 
 
-def test_triangle_check_memory_stays_within_its_buffer():
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_triangle_check_memory_stays_within_its_buffer(cpus):
     """At n = 600 the check's numpy allocations peak below its buffer of
     2 * _TRIANGLE_BLOCK_ENTRIES float64 plus one n x n bool array, whether
     the matrix is a metric, breaks one triangle at a late pivot or breaks
     most of them; an n x n float array (2.9 MB) would not fit.  numpy's
     ufunc iterator adds buffers of its own, up to about 130 kB, to each
-    broadcast sum."""
+    broadcast sum.  The bound holds however many CPUs are usable: the
+    check keeps one buffer, not one per CPU."""
     n = 600
     line = np.arange(n, dtype=float)
     valid = np.abs(line[:, None] - line[None, :])
     late = _planted(valid, n - 3, n - 1, 0.5)
     noise = np.triu(np.random.default_rng(3).random((n, n)), 1)
     bound = 2 * space_mod._TRIANGLE_BLOCK_ENTRIES * 8 + n * n
-    for dist in (valid, late, noise + noise.T):
-        tracemalloc.start()
-        try:
-            with contextlib.suppress(MetricViolationError):
-                space_mod.validate_metric(dist)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (peak, bound)
-    with pytest.raises(MetricViolationError) as err:
-        space_mod.validate_metric(late)
+    with mock.patch.object(space_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                           create=True):
+        for dist in (valid, late, noise + noise.T):
+            tracemalloc.start()
+            try:
+                with contextlib.suppress(MetricViolationError):
+                    space_mod.validate_metric(dist)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (peak, bound)
+        with pytest.raises(MetricViolationError) as err:
+            space_mod.validate_metric(late)
     assert err.value.witness == (n - 3, n - 2, n - 1)
 
 
