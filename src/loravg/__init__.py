@@ -16,11 +16,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "averaging": ("AveragingKernel", "average", "distribution_constant",
                   "equicontinuity_modulus", "extremal_pair_function", "pointwise_bound",
-                  "verify_distribution_inequality", "verify_operator_bound",
+                  "sample_unit_sphere", "verify_distribution_inequality", "verify_operator_bound",
                   "verify_rearrangement_bound"),
     "compactness": ("CoveringReport", "ProbeRow", "SimpleApproximation", "WitnessReport",
-                    "compactness_probe", "covering_number", "sample_unit_sphere",
-                    "simple_approximation", "witness_sequence"),
+                    "compactness_probe", "covering_number", "simple_approximation",
+                    "witness_sequence"),
     "errors": ("DomainError", "MetricViolationError", "NotInSpaceError"),
     "norms": ("DOUBLE_STAR", "PLAIN", "HolderConstants", "NormSpec",
               "chi_norm_closed_form", "holder_check", "holder_constants",

@@ -10,7 +10,9 @@ tight constants entering the paper-style bounds:
 * the rearrangement bound (A_r f)*(t) <= c f**(t);
 * the operator-norm bound  ||A_r f|| <= (c p/(p-1)) ||f||  for both
   Lorentz norm variants;
-* the equicontinuity modulus of {A_r f : ||f|| <= 1} between two atoms.
+* the equicontinuity modulus of {A_r f : ||f|| <= 1} between two atoms,
+  with `sample_unit_sphere` drawing the unit-norm trials that the
+  modulus is checked on.
 """
 
 import math
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .norms import PLAIN, NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm
+from .norms import (PLAIN, NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm,
+                    lorentz_norms)
 from .rearrange import (FunctionOnSpace, MaximalProfile, StepFunction, runs, sorted_distinct,
                         sorted_profile)
 from .space import MetricMeasureSpace, ball, doubling_constant, symm_diff_measure
@@ -287,25 +290,69 @@ def verify_operator_bound(space: MetricMeasureSpace, f: FunctionOnSpace, r: floa
                                passed=bool(holds(lhs, rhs)))
 
 
+def sample_unit_sphere(space: MetricMeasureSpace, spec: NormSpec, n: int,
+                       seed: int) -> list[FunctionOnSpace]:
+    """n random signed simple functions normalized to unit spec-norm.
+
+    Each draw is a single signed ball bump: the support is the closed
+    ball at a uniform random center whose radius is a mid-range quantile
+    (0.45..0.55) of that center's distance row, and the level is standard
+    normal.  Keeping the supports at a common scale keeps the metric
+    entropy of the averaged images modest, so greedy nets of the image
+    cloud saturate at desk-scale sample sizes; per-atom noise supports
+    would instead spread the images over a high-dimensional ellipsoid
+    whose nets keep growing with the sample.
+
+    Draws are sequential, so the first m samples of a longer run equal an
+    m-sample run with the same seed; a draw of level 0 is dropped.  The
+    functions are normalized in one `lorentz_norms` call.
+    """
+    if n < 1:
+        raise DomainError("need n >= 1")
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < n:
+        draw = int(rng.integers(space.natoms)), rng.uniform(0.45, 0.55), rng.standard_normal()
+        if draw[-1] != 0:  # a level of 0 has no multiple on the unit sphere
+            draws.append(draw)
+    values = np.zeros((n, space.natoms))
+    for row, (center, quantile, level) in zip(values, draws):
+        k = int(quantile * (space.natoms - 1))
+        row[space.ball_mask(center, np.partition(space.distance_row(center), k)[k])] = level
+    values *= 1.0 / lorentz_norms(values, space.weights, spec)[:, None]
+    return [FunctionOnSpace(space, row) for row in values]
+
+
 def equicontinuity_bound_matrix(space: MetricMeasureSpace, r: float, spec: NormSpec,
                                 rows: slice = slice(None)) -> np.ndarray:
     """bound(x, y) for the atoms x in the slice rows (all by default) and
     every atom y: the vectorized form of equicontinuity_modulus's first
-    component, 0 exactly where B(x, r) and B(y, r) are the same atom set."""
+    component, 0 exactly where B(x, r) and B(y, r) are the same atom set.
+
+    It is formed in place in the array that `symm_diff_measures` returns,
+    with one more array of that shape for the first term.  Each step is an
+    operation of the formula on the same operands, so the entries have the
+    bits of the formula evaluated as written."""
     mu = space.ball_measures(r)
-    sd = space.symm_diff_measures(r, rows)
     lam = holder_constants(spec, 1.0).lam
     one_minus = 1.0 - 1.0 / spec.p
     alpha_x = lam * mu[rows] ** one_minus
-    alpha_sd = lam * sd ** one_minus
-    return (np.abs(1.0 / mu[rows, None] - 1.0 / mu[None, :]) * alpha_x[:, None]
-            + alpha_sd / mu[None, :])
+    bound = space.symm_diff_measures(r, rows)
+    bound **= one_minus
+    bound *= lam
+    bound /= mu  # alpha(B(x) symm-diff B(y)) / mu(B(y))
+    first = np.subtract(1.0 / mu[rows, None], 1.0 / mu)
+    np.abs(first, out=first)
+    first *= alpha_x[:, None]
+    bound += first
+    return bound
 
 
 def equicontinuity_pairs(space: MetricMeasureSpace, fs: list[FunctionOnSpace], r: float,
                          spec: NormSpec):
     """(worst, bounds, exact) in one pass over `space.pair_blocks`, each
-    forming its rows of `equicontinuity_bound_matrix` once.  worst[i] is
+    forming its rows of `equicontinuity_bound_matrix` once and every
+    trial's ratios in one array of their shape.  worst[i] is
     (x, y, |A_r f(x) - A_r f(y)|, bound(x, y)) of the largest ratio of the
     two for fs[i], the first in row-major order among equal ratios (None if
     every bound is 0: equal balls, where A_r f(x) = A_r f(y) exactly, rank
@@ -327,8 +374,9 @@ def equicontinuity_pairs(space: MetricMeasureSpace, fs: list[FunctionOnSpace], r
         bounds[rows.start:rows.stop] = np.diagonal(bound, offset=rows.start + 1)
         positive = bound > 0
         equal = ~positive
+        ratio = np.empty_like(bound)
         for i, avg in enumerate(avgs):
-            ratio = avg[rows, None] - avg[None, :]
+            np.subtract(avg[rows, None], avg, out=ratio)
             np.abs(ratio, out=ratio)
             np.divide(ratio, bound, out=ratio, where=positive)
             ratio[equal] = -np.inf

@@ -11,7 +11,9 @@ the bytes of json.dumps(obj, indent=2, sort_keys=True), but is written
 chunk by chunk, to stdout or, with --out, to a temporary file renamed
 into place, so no command holds the whole text in memory.  A numpy array
 in the report is written a row at a time, so no command holds it as
-Python floats either.
+Python floats either.  A plot (`rearrange --plot`, `probe --svg`) is
+written before the artifact, so a plot that cannot be written leaves no
+partial output.  Input files are read as UTF-8.
 
 Exit codes: 0 all contracts pass, or no contract was checked (the report
 then says "pass": null, as `witness` does in the bounded regime, where no
@@ -55,11 +57,14 @@ class CLIError(Exception):
 
 
 def _load_json(path: str):
+    """The parsed JSON file at path, read as UTF-8 whatever the locale."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise CLIError(f"no such file: {path}")
+    except UnicodeDecodeError as err:
+        raise CLIError(f"{path} is not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise CLIError(f"malformed JSON in {path}: line {err.lineno} "
                        f"column {err.colno}: {err.msg}")
@@ -278,11 +283,11 @@ def _cmd_rearrange(args) -> int:
         sf, title = rearrange.distribution_function(f), "distribution function"
     else:
         sf, title = rearrange.rearrangement(f), "decreasing rearrangement"
-    _emit_json(sf.to_json(), args.out)
     if args.plot:
         from . import svgplot
 
         svgplot.emit_step_svg(sf, args.plot, title=title)
+    _emit_json(sf.to_json(), args.out)
     return 0
 
 
@@ -314,7 +319,7 @@ def _trial_functions(args, sp, spec) -> list["FunctionOnSpace"]:
         raise CLIError("randomized run: --seed is mandatory when --fn is omitted")
     seed = _checked_seed(args.seed)
     if args.lemma == "equicontinuity":
-        from .compactness import sample_unit_sphere
+        from .averaging import sample_unit_sphere
 
         return sample_unit_sphere(sp, spec, args.trials, seed)
     import numpy as np
@@ -449,7 +454,6 @@ def _cmd_probe(args) -> int:
     for row in rows:
         wmin = "" if row.witness_min is None else repr(row.witness_min)
         lines.append(f"{row.label},{row.k},{row.witness_count},{wmin},{row.c_lower!r}")
-    _emit(["\n".join(lines) + "\n"], args.out)
     if args.svg:
         xs = [float(r.label) for r in rows]
         chart = svgplot.line_chart_svg(
@@ -457,6 +461,7 @@ def _cmd_probe(args) -> int:
              ("separated witnesses", xs, [float(r.witness_count) for r in rows])],
             xlabel="L", ylabel="count", title="compactness probe")
         svgplot.write_atomic(args.svg, chart)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

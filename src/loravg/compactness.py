@@ -10,7 +10,10 @@ that stay pairwise separated by at least
 
 so the number of pairwise-separated images, and with it any epsilon-net
 at epsilon < c_lower, grows without bound.  The probe tabulates both
-effects across a family of spaces.
+effects across a family of spaces.  It draws its samples with
+`averaging.sample_unit_sphere`, also importable from here.  The sampler
+lives in `averaging` because `verify --lemma equicontinuity` draws its
+trials with it, and that command then does not load this module.
 
 All norms go through the row kernel `norms.lorentz_norms`.  A greedy net
 measures one point against every kept point in one call.  The witness
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingKernel
+from .averaging import AveragingKernel, sample_unit_sphere
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lorentz_norm, lorentz_norms, row_blocks
 from .rearrange import FunctionOnSpace
@@ -39,39 +42,6 @@ _IMAGE_BLOCK_ENTRIES = 1 << 14
 
 def norm_distance(f: FunctionOnSpace, g: FunctionOnSpace, spec: NormSpec) -> float:
     return lorentz_norm(f - g, spec)
-
-
-def sample_unit_sphere(space: MetricMeasureSpace, spec: NormSpec, n: int,
-                       seed: int) -> list[FunctionOnSpace]:
-    """n random signed simple functions normalized to unit spec-norm.
-
-    Each draw is a single signed ball bump: the support is the closed
-    ball at a uniform random center whose radius is a mid-range quantile
-    (0.45..0.55) of that center's distance row, and the level is standard
-    normal.  Keeping the supports at a common scale keeps the metric
-    entropy of the averaged images modest, so greedy nets of the image
-    cloud saturate at desk-scale sample sizes; per-atom noise supports
-    would instead spread the images over a high-dimensional ellipsoid
-    whose nets keep growing with the sample.
-
-    Draws are sequential, so the first m samples of a longer run equal an
-    m-sample run with the same seed; a draw of level 0 is dropped.  The
-    functions are normalized in one `lorentz_norms` call.
-    """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    draws = []
-    while len(draws) < n:
-        draw = int(rng.integers(space.natoms)), rng.uniform(0.45, 0.55), rng.standard_normal()
-        if draw[-1] != 0:  # a level of 0 has no multiple on the unit sphere
-            draws.append(draw)
-    values = np.zeros((n, space.natoms))
-    for row, (center, quantile, level) in zip(values, draws):
-        k = int(quantile * (space.natoms - 1))
-        row[space.ball_mask(center, np.partition(space.distance_row(center), k)[k])] = level
-    values *= 1.0 / lorentz_norms(values, space.weights, spec)[:, None]
-    return [FunctionOnSpace(space, row) for row in values]
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,8 @@ class MetricMeasureSpace:
         """Consecutive slices of atoms covering all of them, of lengths
         that differ by at most one: the row blocks in which
         `symm_diff_measures` sums, and on a matrix space its column tiles
-        too.  A block holds about _PAIR_BLOCK_ENTRIES pairs (x, y).
+        too, whose masks it reads from `dist` a tile at a time.  A block
+        holds about _PAIR_BLOCK_ENTRIES pairs (x, y).
 
         On a matrix space a block holds at least n / 16 rows, so that BLAS
         does not take its kernel for small products, whose sums round
@@ -422,10 +423,17 @@ class MetricMeasureSpace:
         atoms z as masked row products w_z [z in B(x)] [z not in B(y)],
         without cancellation.  It forms whole `pair_blocks`, a tile of
         `pair_blocks` columns at a time, and slices the rows out of them,
-        so a row's bits do not depend on which rows are asked for, and no
-        float operand is larger than a tile.  At one BLAS thread a tile
-        has the bits of the product over all columns at 400 and 600 atoms,
-        where that is checked, but not at 401 (see `pair_blocks`).  On a
+        so a row's bits do not depend on which rows are asked for.  It
+        reads each block's and each tile's masks from `dist` as it needs
+        them, and forms no n x n mask.  A block takes its two products in
+        two passes over the tiles: the first writes mu(B(x) \\ B(y)) into
+        the block's rows of the output and the second adds mu(B(y) \\ B(x))
+        to them, so each entry is the rounded sum of the two, as in one
+        pass.  Besides the output, a product then holds two float operands
+        of about _PAIR_BLOCK_ENTRIES entries, one of them the float copy
+        that matmul makes of a bool mask.  At one BLAS thread a tile has the
+        bits of the product over all columns at 400 and 600 atoms, where
+        that is checked, but not at 401 (see `pair_blocks`).  On a
         line space both balls are runs (see `ball_runs`) and so is each of
         the at most two pieces of their difference; a piece is a difference
         of compensated prefix sums of the weights in sorted order, which
@@ -434,15 +442,19 @@ class MetricMeasureSpace:
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
         if self.coords is None:
-            masks, weights, tiles = self.ball_masks(r), self.weights, self.pair_blocks()
+            dist, weights, tiles = self.dist, self.weights, self.pair_blocks()
             blocks = [b for b in tiles if b.start < stop and b.stop > start]
             first = blocks[0].start
             out = np.empty((blocks[-1].stop - first, self.natoms))
             for b in blocks:
-                inside, outside = masks[b] * weights, ~masks[b]
+                part = out[b.start - first:b.stop - first]
+                inside = (dist[b] <= r) * weights
                 for c in tiles:
-                    out[b.start - first:b.stop - first, c] = (
-                        inside @ ~masks[c].T + outside @ (masks[c] * weights).T)
+                    part[:, c] = inside @ ~(dist[c] <= r).T
+                del inside
+                outside = ~(dist[b] <= r)
+                for c in tiles:
+                    part[:, c] += outside @ ((dist[c] <= r) * weights).T
             return out[start - first:stop - first]
         lo, hi = self._atom_runs(r)
         prefix = self._weight_prefix

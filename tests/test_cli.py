@@ -770,6 +770,49 @@ def test_deeply_nested_json_exits_2(tmp_path, space_file, chi_file, flag):
     assert err.startswith(f"error: JSON in {deep} is nested too deeply")
 
 
+@pytest.mark.parametrize("flag", ["--space", "--fn"])
+@pytest.mark.parametrize("raw, error", [
+    (b'{"values": [1, "\xff"]}',
+     "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 16"),
+    (b'\xef\xbb\xbf{"values": [1]}', "line 1 column 1: Unexpected UTF-8 BOM"),
+], ids=["not-utf8", "bom"])
+def test_input_files_are_read_as_utf8(tmp_path, space_file, chi_file, flag, raw, error):
+    """A space or function file is read as UTF-8: a byte that is not UTF-8
+    exits 2 with an error line, not a UnicodeDecodeError traceback, and a
+    leading byte-order mark still exits 2 as malformed JSON."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    files = {"--space": space_file, "--fn": chi_file, flag: str(bad)}
+    code, err = _dispatch_quietly(["norm", "--space", files["--space"], "--fn", files["--fn"],
+                                   "--p", "2", "--q", "2"])
+    assert code == 2
+    assert err.startswith("error: ") and error in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", [
+    ["rearrange", "--space", "SPACE", "--fn", "FN", "--plot", "SIDE"],
+    ["probe", "--family", "lattice:4:6:2", "--r", "1", "--p", "2", "--q", "2",
+     "--epsilon", "0.5", "--n", "3", "--seed", "1", "--svg", "SIDE"],
+], ids=["rearrange-plot", "probe-svg"])
+def test_side_file_that_cannot_be_written_leaves_no_artifact(tmp_path, space_file, chi_file,
+                                                              command, to_file):
+    """A plot is written before the artifact, so a plot path that cannot be
+    written exits 2 with nothing on stdout and no --out file."""
+    paths = {"SPACE": space_file, "FN": chi_file,
+             "SIDE": str(tmp_path / "no-such-dir" / "side.svg")}
+    argv = [paths.get(arg, arg) for arg in command]
+    artifact = tmp_path / "artifact"
+    if to_file:
+        argv += ["--out", str(artifact)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code == 2
+    assert out.getvalue() == "" and not artifact.exists()
+    assert err.getvalue().startswith("error: ")
+
+
 _PAIR = [[0, 1], [1, 0]]
 
 

@@ -157,7 +157,7 @@ _COMMAND_IMPORTS = {
                           "--r", "1", *_P2_Q2], ["averaging", *_NORMS], True),
     "verify equicontinuity": (["verify", "--lemma", "equicontinuity", "--space", "SPACE",
                                "--seed", "1", "--r", "1", *_P2_Q2],
-                              ["averaging", "compactness", *_NORMS], True),
+                              ["averaging", *_NORMS], True),
     "probe": (["probe", "--family", "lattice:4:6:2", "--r", "1", "--epsilon", "0.5", "--n", "3",
                "--seed", "1", *_P2_Q2], ["averaging", "compactness", "svgplot", *_NORMS], True),
 }
@@ -178,6 +178,14 @@ def test_package_names_are_lazy():
     assert report == {"on_import": [],
                       "after_build_space": ["loravg.decode", "loravg.errors", "loravg.space"],
                       "unresolved": [], "not_in_dir": [], "unknown": "AttributeError"}
+
+
+def test_unit_sphere_sampler_resolves_from_the_package_and_compactness():
+    """`sample_unit_sphere` lives in averaging, so that `verify --lemma
+    equicontinuity` does not load compactness; the package name and
+    compactness's name are the same function."""
+    assert loravg.sample_unit_sphere.__module__ == "loravg.averaging"
+    assert loravg.sample_unit_sphere is loravg.compactness.sample_unit_sphere
 
 
 def test_commands_import_only_what_they_run(tmp_path):
