@@ -3,10 +3,10 @@
 Subcommands: build-space, norm, rearrange, avg, verify, witness, probe,
 approx.  Structured output is JSON (CSV for probe tables, SVG for plots)
 and is deterministic: no timestamps inside artifacts, wall time on
-stderr only, seeds mandatory for anything randomized.  The one known
-exception is the BLAS thread count: on a matrix space, the
-`dual-norm-pair` rhs and margin of `verify --lemma equicontinuity` can
-differ by 1 ulp between one and two threads.  JSON is streamed: it has
+stderr only, seeds mandatory for anything randomized.  The symmetric
+differences that `verify --lemma equicontinuity` reads are exact limb
+sums (see `space.MetricMeasureSpace._limbs`), the same at any BLAS
+thread count and summation order.  JSON is streamed: it has
 the bytes of json.dumps(obj, indent=2, sort_keys=True), but is written
 chunk by chunk, to stdout or, with --out, to a temporary file renamed
 into place, so no command holds the whole text in memory.  A numpy array

@@ -18,10 +18,9 @@ instead, and forms the matrix only when `dist` is first read.  There a
 ball is a run of consecutive atoms in coordinate order (`ball_runs`), so
 the layer needs O(n) memory and no n x n array.  Spaces are immutable, so
 each space keeps one memo per radius, read-only: the runs of a line space
-(by sorted position and by atom) and the ball measures of either form are
-computed once, and every ball measure is read from it.  The compensated
-prefix sums of a line space's weights do not depend on the radius and are
-computed once.
+(by sorted position and by atom), the ball measures of either form and
+their limb measures (see `_limbs`) are computed once, and every ball
+measure is read from it.
 """
 
 import bisect
@@ -45,9 +44,9 @@ MAX_ATOMS_ENV = "LORAVG_MAX_ATOMS"
 _BLOCK_ENTRIES = 1 << 18
 
 # Entries per block of a matrix space's balls (see `ball_blocks`) and pairs
-# (x, y) per block or tile of pair measures (see `pair_blocks`): 256 kB of
+# (x, y) per block or tile of pair measures (see `pair_blocks`): 128 kB of
 # float64, the size of every float operand those blocks form.
-_PAIR_BLOCK_ENTRIES = 1 << 15
+_PAIR_BLOCK_ENTRIES = 1 << 14
 
 # Half the float64 entries of the triangle check's buffer: 1 MB in all.  A
 # tile's pivot sums and their minima fit it, and it stays in cache from the
@@ -61,6 +60,17 @@ _TRIANGLE_TILE_ROWS = 8
 # Relative fuzz for triangle validation; computed metrics (e.g. euclidean
 # distances) can violate the exact inequality by a few ulps.
 _TRIANGLE_RTOL = 1e-12
+
+
+def _add_limb(out, shift, mx, my, meet) -> None:
+    """Add ldexp(mx[:, None] + my - 2 meet, shift), exact, to out, in place
+    of meet: a limb's measures of the balls of the rows, of the columns and
+    of their meets (see `MetricMeasureSpace.symm_diff_measures`)."""
+    meet *= -2.0
+    meet += mx[:, None]
+    meet += my
+    out += np.ldexp(meet, shift, out=meet)
+
 
 def _max_atoms() -> int:
     raw = os.environ.get(MAX_ATOMS_ENV)
@@ -171,6 +181,21 @@ def _check_radius(r: float) -> None:
         raise DomainError("radius must be nonnegative")
 
 
+def _per_radius(method):
+    """method(self, r) for a radius r, computed once per radius and kept in
+    the space's memo of its name, with its arrays made read-only."""
+    @functools.wraps(method)
+    def memoized(self, r: float):
+        _check_radius(r)
+        memo, r = self._memos.setdefault(method.__name__, {}), float(r)
+        if r not in memo:
+            memo[r] = method(self, r)
+            for array in memo[r] if isinstance(memo[r], tuple) else [memo[r]]:
+                array.setflags(write=False)
+        return memo[r]
+    return memoized
+
+
 def _checked_weights(weights: np.ndarray) -> np.ndarray:
     """The (n,) weights, if there is at least one, every one is positive and
     their total, a bound on every ball measure, is finite."""
@@ -219,7 +244,7 @@ class MetricMeasureSpace:
             validate_metric(dist)
         self.__dict__.update(dist=dist, weights=weights, coords=None, order=None,
                              metric=None, metric_by_construction=metric_by_construction,
-                             _measures={}, _runs={}, _atom_run_memo={})
+                             _memos={})
 
     @classmethod
     def _line(cls, coords: np.ndarray, metric: str, weights) -> "MetricMeasureSpace":
@@ -231,8 +256,7 @@ class MetricMeasureSpace:
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
                               coords=coords, metric=metric, metric_by_construction=True,
-                              order=order, _sorted=coords[order], _measures={}, _runs={},
-                              _atom_run_memo={})
+                              order=order, _sorted=coords[order], _memos={})
         return space
 
     def __setattr__(self, name, value):
@@ -293,6 +317,7 @@ class MetricMeasureSpace:
             return self.dist[rows] <= r
         return _line_distance(self.metric, self.coords[rows, None], self.coords[None, :]) <= r
 
+    @_per_radius
     def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): on a line space, the ball of radius r around the atom
         at sorted position s is the run of sorted positions [lo[s], hi[s]).
@@ -302,12 +327,8 @@ class MetricMeasureSpace:
         the exact predicate d(y, x) <= r, which holds on a run because d
         grows with |c_y - c_x|.
         """
-        _check_radius(r)
         if self.coords is None:
             raise DomainError("only a line space has its balls as runs")
-        r = float(r)
-        if r in self._runs:
-            return self._runs[r]
         c, n = self._sorted, self.natoms
 
         def reaches(probe):
@@ -323,9 +344,6 @@ class MetricMeasureSpace:
             hi += step * reaches(hi + step - 1)
             lo -= step * reaches(lo - step)
             step >>= 1
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        self._runs[r] = lo, hi
         return lo, hi
 
     def ball_blocks(self, r: float):
@@ -365,6 +383,7 @@ class MetricMeasureSpace:
             yield (order[a:b], order[lo[a]:hi[b - 1]],
                    (at >= lo[a:b, None]) & (at < hi[a:b, None]))
 
+    @_per_radius
     def ball_measures(self, r: float) -> np.ndarray:
         """mu(B(x, r)) for every atom x at once, as a read-only array that
         is computed once per radius.
@@ -373,10 +392,6 @@ class MetricMeasureSpace:
         line space sums each ball's run with np.add.reduceat (differences
         of prefix sums would cancel).
         """
-        _check_radius(r)
-        r = float(r)
-        if r in self._measures:
-            return self._measures[r]
         if self.coords is None:
             out = np.concatenate([(inside * self.weights).sum(axis=1)
                                   for _, _, inside in self.ball_blocks(r)])
@@ -389,28 +404,16 @@ class MetricMeasureSpace:
             out = np.empty(self.natoms)
             out[self.order] = np.add.reduceat(np.append(self.weights[self.order], 0.0),
                                               bounds)[::2]
-        out.setflags(write=False)
-        self._measures[r] = out
         return out
 
     def pair_blocks(self) -> list[slice]:
         """Consecutive slices of atoms covering all of them, of lengths
-        that differ by at most one: the row blocks in which
-        `symm_diff_measures` sums, and on a matrix space its column tiles
-        too, whose masks it reads from `dist` a tile at a time.  A block
-        holds about _PAIR_BLOCK_ENTRIES pairs (x, y).
-
-        On a matrix space a block holds at least n / 16 rows, so that BLAS
-        does not take its kernel for small products, whose sums round
-        differently, and at least two, since numpy multiplies a one-row
-        block with the matrix-vector kernel.  At one BLAS thread a tile then
-        has the bits of the product over all columns at 400 and 600 atoms,
-        where that is checked, but not at 401."""
+        that differ by at most one, each of about _PAIR_BLOCK_ENTRIES pairs
+        (x, y): the row blocks in which `symm_diff_measures` is asked for,
+        and on a matrix space its column tiles too, whose masks it reads
+        from `dist` a tile at a time."""
         n = self.natoms
-        step = max(1, _PAIR_BLOCK_ENTRIES // n)
-        count = -(-n // step)
-        if self.coords is None:
-            count = max(1, min(count, 16, n // 2))
+        count = -(-n // max(1, _PAIR_BLOCK_ENTRIES // n))
         bounds = [n * i // count for i in range(count + 1)]
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -419,81 +422,85 @@ class MetricMeasureSpace:
         and every atom y, as a (rows, n) array that is exactly 0 where the
         two balls are the same atom set.
 
-        A matrix space sums mu(B(x) \\ B(y)) and mu(B(y) \\ B(x)) over the
-        atoms z as masked row products w_z [z in B(x)] [z not in B(y)],
-        without cancellation.  It forms whole `pair_blocks`, a tile of
-        `pair_blocks` columns at a time, and slices the rows out of them,
-        so a row's bits do not depend on which rows are asked for.  It
-        reads each block's and each tile's masks from `dist` as it needs
-        them, and forms no n x n mask.  A block takes its two products in
-        two passes over the tiles: the first writes mu(B(x) \\ B(y)) into
-        the block's rows of the output and the second adds mu(B(y) \\ B(x))
-        to them, so each entry is the rounded sum of the two, as in one
-        pass.  Besides the output, a product then holds two float operands
-        of about _PAIR_BLOCK_ENTRIES entries, one of them the float copy
-        that matmul makes of a bool mask.  At one BLAS thread a tile has the
-        bits of the product over all columns at 400 and 600 atoms, where
-        that is checked, but not at 401 (see `pair_blocks`).  On a
-        line space both balls are runs (see `ball_runs`) and so is each of
-        the at most two pieces of their difference; a piece is a difference
-        of compensated prefix sums of the weights in sorted order, which
-        needs no n x n array.
+        Per limb k of the weights (see `_limbs`) the measure is the exact
+        integer m_k(B(x)) + m_k(B(y)) - 2 m_k(B(x) & B(y)), and the limbs
+        are summed in ascending k, so an entry does not depend on the rows
+        asked for, the tiles, BLAS or the space's form; with at most two
+        limbs it is correctly rounded.  A matrix space takes the meets as a
+        product per limb of a block's and a tile's masks (see
+        `pair_blocks`), read from `dist` as they are needed.  On a line
+        space the meet of two runs (see `ball_runs`) is a run, read from the
+        limbs' prefix sums in sorted order.
         """
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
+        shifts, limbs = self._limbs
+        m = self._limb_measures(r)
+        out = np.zeros((stop - start, self.natoms))
         if self.coords is None:
-            dist, weights, tiles = self.dist, self.weights, self.pair_blocks()
-            blocks = [b for b in tiles if b.start < stop and b.stop > start]
-            first = blocks[0].start
-            out = np.empty((blocks[-1].stop - first, self.natoms))
-            for b in blocks:
-                part = out[b.start - first:b.stop - first]
-                inside = (dist[b] <= r) * weights
-                for c in tiles:
-                    part[:, c] = inside @ ~(dist[c] <= r).T
-                del inside
-                outside = ~(dist[b] <= r)
-                for c in tiles:
-                    part[:, c] += outside @ ((dist[c] <= r) * weights).T
-            return out[start - first:stop - first]
+            dist, tiles = self.dist, self.pair_blocks()
+            for a in range(start, stop, tiles[0].stop):
+                b = slice(a, min(a + tiles[0].stop, stop))
+                block = out[a - start:b.stop - start]
+                inside, weighted = dist[b] <= r, np.empty(block.shape)
+                for shift, limb, mk in zip(shifts, limbs, m):
+                    weighted.fill(0.0)  # then limb * inside, without a float copy of inside
+                    np.copyto(weighted, limb, where=inside)
+                    for c in tiles:
+                        _add_limb(block[:, c], shift, mk[b], mk[c],
+                                  weighted @ (dist[c] <= r).T)
+            return out
         lo, hi = self._atom_runs(r)
-        prefix = self._weight_prefix
-        # Runs [lo_x, hi_x) and [lo_y, hi_y) differ in [min lo, min(max lo, min hi))
-        # and [max(max lo, min hi), max hi), both empty for equal runs.
-        lx, hx = lo[start:stop, None], hi[start:stop, None]
-        inner_lo, inner_hi = np.maximum(lx, lo), np.minimum(hx, hi)
-        sd = ((prefix[np.minimum(inner_lo, inner_hi)] - prefix[np.minimum(lx, lo)])
-              + (prefix[np.maximum(hx, hi)] - prefix[np.maximum(inner_lo, inner_hi)]))
-        return sd.real + sd.imag
+        # The runs [lo_x, hi_x) and [lo_y, hi_y) meet in [max lo, max(max lo, min hi)).
+        meet_lo = np.maximum(lo[start:stop, None], lo)
+        meet_hi = np.maximum(meet_lo, np.minimum(hi[start:stop, None], hi))
+        for shift, prefix, mk in zip(shifts, self._limb_prefix, m):
+            _add_limb(out, shift, mk[start:stop], mk, prefix[meet_hi] - prefix[meet_lo])
+        return out
 
+    @_per_radius
     def _atom_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """`ball_runs` indexed by atom instead of sorted position: B(x, r) is
-        the run of sorted positions [lo[x], hi[x]).  Read-only and computed
-        once per radius."""
-        r = float(r)
-        if r not in self._atom_run_memo:
-            runs = []
-            for run in self.ball_runs(r):
-                by_atom = np.empty_like(run)
-                by_atom[self.order] = run
-                by_atom.setflags(write=False)
-                runs.append(by_atom)
-            self._atom_run_memo[r] = tuple(runs)
-        return self._atom_run_memo[r]
+        the run of sorted positions [lo[x], hi[x])."""
+        runs = np.empty((2, self.natoms), dtype=int)
+        runs[:, self.order] = self.ball_runs(r)
+        return runs[0], runs[1]
 
     @functools.cached_property
-    def _weight_prefix(self) -> np.ndarray:
-        """Compensated prefix sums of the weights in sorted order, as the real
-        parts, with the rounding error of each running sum, exact by TwoSum
-        and summed apart, as the imaginary parts: a run keeps a small weight
-        next to a large one, and one gather reads both parts.  Read-only."""
-        w = self.weights[self.order]
-        prefix = np.concatenate(([0.0], np.cumsum(w)))
-        step = prefix[1:] - prefix[:-1]
-        lost = np.cumsum((prefix[:-1] - (prefix[1:] - step)) + (w - step))
-        prefix = prefix + 1j * np.concatenate(([0.0], lost))
-        prefix.setflags(write=False)
-        return prefix
+    def _limbs(self) -> tuple[list[int], np.ndarray]:
+        """(shifts, limbs): the weights split exactly into integer limbs,
+        w = sum_k ldexp(limbs[k], shifts[k]) with ascending shifts, each
+        below 2^(52 - n.bit_length()), so that any 2n limbs of one k sum
+        exactly in any order.  Limbs that are 0 at every atom are left out:
+        weights in [0.2, 3) take two, equal ones one.  limbs is read-only."""
+        width = 52 - self.natoms.bit_length()
+        _, exponents = np.frexp(self.weights)  # w < 2^exponent
+        shift, rest, shifts, limbs = int(exponents.max()), self.weights, [], []
+        while rest.any():
+            shift -= width
+            limb = np.floor(np.ldexp(rest, -shift))
+            rest = rest - np.ldexp(limb, shift)
+            if limb.any():
+                shifts.insert(0, shift)
+                limbs.insert(0, limb)
+        return shifts, _read_only(limbs)
+
+    @functools.cached_property
+    def _limb_prefix(self) -> np.ndarray:
+        """A line space's (K, n + 1) limb prefix sums in sorted order, exact
+        and read-only."""
+        prefix = np.cumsum(self._limbs[1][:, self.order], axis=1)
+        return _read_only(np.pad(prefix, ((0, 0), (1, 0))))
+
+    @_per_radius
+    def _limb_measures(self, r: float) -> np.ndarray:
+        """m_k(B(x, r)), the exact sum of limb k over the ball, for every
+        limb k and atom x, as a (K, n) array."""
+        if self.coords is None:
+            return np.concatenate([self._limbs[1] @ inside.T
+                                   for _, _, inside in self.ball_blocks(r)], axis=1)
+        lo, hi = self._atom_runs(r)
+        return self._limb_prefix[:, hi] - self._limb_prefix[:, lo]
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:
@@ -747,27 +754,19 @@ def vitali_subfamily(space: MetricMeasureSpace, balls):
         if not (mask & covered).any():
             kept.append((c, r))
             covered |= mask
-    kept_union5 = np.zeros(space.natoms, dtype=bool)
-    for c, r in kept:
-        kept_union5 |= space.ball_mask(c, 5 * r)
-    input_union = np.zeros(space.natoms, dtype=bool)
-    for c, r in balls:
-        input_union |= space.ball_mask(c, r)
-    if np.any(input_union & ~kept_union5):
+    def holding(family, scale):
+        """How many balls of family, with scaled radii, hold each atom."""
+        return sum((space.ball_mask(c, scale * r) for c, r in family), np.zeros(space.natoms, int))
+    if np.any((holding(balls, 1) > 0) & (holding(kept, 5) == 0)):
         raise RuntimeError("the 5r enlargements of the kept balls must cover the input")
-    kept_masks = [space.ball_mask(c, r) for c, r in kept]
-    for i in range(len(kept_masks)):
-        for j in range(i + 1, len(kept_masks)):
-            if (kept_masks[i] & kept_masks[j]).any():
-                raise RuntimeError("kept Vitali balls overlap")
+    if holding(kept, 1).max() > 1:
+        raise RuntimeError("kept Vitali balls overlap")
     return kept
 
 
 def symm_diff_measure(space: MetricMeasureSpace, x: int, y: int, r: float) -> float:
     """mu(B(x,r) symmetric-difference B(y,r)); zero iff equal atom sets."""
-    mx = space.ball_mask(x, r)
-    my = space.ball_mask(y, r)
-    return float(space.weights[mx ^ my].sum())
+    return math.fsum(space.weights[space.ball_mask(x, r) ^ space.ball_mask(y, r)].tolist())
 
 
 @dataclass(frozen=True)

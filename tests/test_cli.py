@@ -302,8 +302,8 @@ def test_dual_norm_pair_checks_match_the_library(monkeypatch, p, form, entries):
     """Each dual-norm-pair-x-(x+1) check has, to the bit, the exact modulus
     of `equicontinuity_modulus` as lhs and the bound of
     `equicontinuity_bound_matrix` as rhs.  At 12 atoms the pair blocks are
-    one row (two on a matrix space) or three rows long, so pairs (x, x + 1)
-    cross block boundaries."""
+    one row or three rows long, so pairs (x, x + 1) cross block
+    boundaries."""
     from loravg import space as space_mod
     from loravg.averaging import equicontinuity_bound_matrix, equicontinuity_modulus
 
@@ -313,7 +313,7 @@ def test_dual_norm_pair_checks_match_the_library(monkeypatch, p, form, entries):
     sp = loravg.MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (n, dim)), metric="l1",
                                               weights=rng.uniform(0.2, 3.0, n))
     assert (sp.coords is None) == (form == "matrix")
-    length = 3 if entries == 40 else 2 if form == "matrix" else 1
+    length = 3 if entries == 40 else 1
     assert {b.stop - b.start for b in sp.pair_blocks()} == {length}
     spec, r = loravg.NormSpec(p, p), 2.5
     fs = [loravg.FunctionOnSpace(sp, rng.standard_normal(n)) for _ in range(2)]
@@ -1031,6 +1031,10 @@ _JSON_COMMANDS = [
     ["avg", "--fn", "FN", "--r", "1"],
     ["verify", "--lemma", "distribution", "--fn", "FN", "--r", "1", "--p", "2", "--q", "2"],
     ["verify", "--lemma", "equicontinuity", "--fn", "FN", "--r", "1", "--p", "2", "--q", "2"],
+    ["verify", "--lemma", "rearrange", "--fn", "FN", "--r", "1", "--p", "2", "--q", "2"],
+    ["verify", "--lemma", "operator-bound", "--fn", "FN", "--r", "1", "--p", "3", "--q", "2"],
+    ["verify", "--lemma", "operator-bound", "--variant", "double-star", "--fn", "FN", "--r", "1",
+     "--p", "3", "--q", "1.5"],
     ["witness", "--r", "1", "--k", "3", "--p", "2", "--q", "2"],
     ["approx", "--fn", "FN", "--epsilon", "0.5", "--p", "2", "--q", "3"],
 ]

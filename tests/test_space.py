@@ -245,6 +245,22 @@ def test_vitali_trivials():
     assert sorted(kept) == [(0, 1.0), (9, 1.0)]
 
 
+def test_vitali_overlap_check_raises():
+    """The kept balls are checked for overlap once more before they are
+    returned: a ball_mask that turns full once the greedy pass is over
+    makes the two kept balls overlap (and still cover the input)."""
+    sp = MetricMeasureSpace.lattice(9)
+    real, calls = MetricMeasureSpace.ball_mask, itertools.count()
+
+    def ball_mask(self, x, r):
+        mask = real(self, x, r)
+        return mask if next(calls) < 2 else np.ones_like(mask)
+
+    with mock.patch.object(MetricMeasureSpace, "ball_mask", ball_mask):
+        with pytest.raises(RuntimeError, match="kept Vitali balls overlap"):
+            vitali_subfamily(sp, [(0, 1.0), (9, 1.0)])
+
+
 def test_vitali_randomized(rng):
     for _ in range(40):
         sp = random_space(rng)
@@ -913,6 +929,68 @@ def test_blocked_equicontinuity_bound_matches_dense(sp, data):
         assert [c[3] for c in checks] == [bool(holds(lhs, rhs)) for _, lhs, rhs in want]
 
 
+def _limb_referee_spaces(n, seed, log_range):
+    """A 1-D cloud of n atoms as a line space and as a matrix space, with
+    weights log-uniform over 2^+-log_range (0: unit weights), and a cloud
+    of n atoms in the plane with the same weights."""
+    rng = np.random.default_rng(seed)
+    coords = np.round(rng.uniform(0.0, 10.0, n), 1)
+    weights = np.exp2(rng.uniform(-log_range, log_range, n)) if log_range else np.ones(n)
+    line = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
+    plane = MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (n, 2)), metric="l1",
+                                          weights=weights)
+    return line, MetricMeasureSpace.from_matrix(line.dist, weights, skip_validation=True), plane
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 60, 1000]),
+       st.integers(1, 40), st.floats(0.0, 1.0))
+@example(401, 3, 1000, space_mod._PAIR_BLOCK_ENTRIES, 0.2)
+@example(401, 4, 1, space_mod._PAIR_BLOCK_ENTRIES, 0.05)
+def test_symm_diff_measures_against_an_exact_referee(n, seed, log_range, entries, quantile):
+    """Against math.fsum of the weights of each difference: equal with at
+    most two limbs, else within (K - 1) / 2 ulps for K limbs; exactly 0
+    on equal balls, and positive elsewhere.  Any row slice and tiles of
+    any size give the same bits, and so do the line and matrix forms of
+    one 1-D space."""
+    line, matrix, plane = _limb_referee_spaces(n, seed, log_range)
+    rng, got = np.random.default_rng(seed), []
+    with mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", entries):
+        for sp in (line, matrix, plane):
+            r = float(np.quantile(sp.dist, quantile))
+            sd = sp.symm_diff_measures(r)
+            got.append(sd.tobytes())
+            a, b = sorted(rng.integers(0, n + 1, 2))
+            assert sd[a:b].tobytes() == sp.symm_diff_measures(r, slice(a, b)).tobytes()
+            masks, limbs = sp.dist <= r, len(sp._limbs[0])
+            pairs = (itertools.product(range(n), repeat=2) if n <= 12
+                     else rng.integers(n, size=(2000, 2)))
+            for x, y in pairs:
+                want = math.fsum(sp.weights[masks[x] ^ masks[y]].tolist())
+                if limbs <= 2:
+                    assert sd[x, y] == want, (x, y)
+                else:
+                    ulp = np.spacing(max(sd[x, y], want))
+                    assert abs(sd[x, y] - want) <= (limbs - 1) / 2 * ulp
+            equal = (masks[:, None, :] == masks[None, :, :]).all(axis=2)
+            assert np.all((sd == 0) == equal)
+    assert got[0] == got[1]
+
+
+def test_symm_diff_measure_has_the_bits_of_the_rows(rng):
+    """The scalar symm_diff_measure, and so equicontinuity_modulus's bound,
+    has the bits of the symm_diff_measures rows on both forms, whose
+    weights here take two limbs."""
+    for dim in (1, 2):
+        sp = MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (50, dim)), metric="l1",
+                                           weights=rng.uniform(0.2, 3.0, 50))
+        assert len(sp._limbs[0]) == 2
+        for r in (0.5, 2.0):
+            sd = sp.symm_diff_measures(r)
+            for x, y in rng.integers(50, size=(40, 2)):
+                assert symm_diff_measure(sp, x, y, r) == sd[x, y]
+
+
 def test_line_symm_diff_keeps_small_weights_next_to_large_ones():
     """Plain prefix sums absorb the unit weights into 1e20, which would give
     the distinct balls {1} and {2} a symmetric difference of 0: a zero
@@ -942,9 +1020,10 @@ def test_ball_runs_are_computed_once_per_radius():
 
 
 def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
-    """symm_diff_measures reads per-atom runs memoized per radius and one
-    prefix memo: radii asked for in any order give the bits of a fresh
-    space, and the memos are read-only."""
+    """symm_diff_measures reads per-atom runs and limb measures memoized
+    per radius, and one memo of limbs and their prefix sums: radii asked
+    for in any order give the bits of a fresh space, and the memos are
+    read-only."""
     coords = rng.uniform(0.0, 30.0, 60)
     weights = rng.uniform(0.2, 3.0, 60)
     sp = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
@@ -957,7 +1036,9 @@ def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
         lo, hi = sp._atom_runs(r)
         assert not lo.flags.writeable and not hi.flags.writeable
         assert sp._atom_runs(r)[0] is lo
-    assert not sp._weight_prefix.flags.writeable
+        assert not sp._limb_measures(r).flags.writeable
+        assert sp._limb_measures(r) is sp._limb_measures(r)
+    assert not sp._limbs[1].flags.writeable and not sp._limb_prefix.flags.writeable
 
 
 def test_line_kernel_bands_match_matrix_on_long_runs(rng):
@@ -1160,10 +1241,11 @@ def _traced_peak(fn) -> int:
 def test_matrix_ball_layer_stays_within_a_few_block_budgets():
     """At 600 atoms the ball measures, the kernel's means, a block of
     symmetric differences and the equicontinuity walk over 8 trials each
-    form float operands of one block or tile (256 kB), where whole-matrix
-    operands took 2.5 to 4.1 MB.  A block of symmetric differences and the
-    walk stay under 4 budgets: with both products of a tile at once, the
-    whole mask and the bound's temporaries they took 5.3 and 5.6."""
+    form float operands of one block or tile (_PAIR_BLOCK_ENTRIES float64
+    entries), where whole-matrix operands took 2.5 to 4.1 MB.  A block of
+    symmetric differences and the walk stay under 4 budgets: with both
+    products of a tile at once, the whole mask and the bound's temporaries
+    they took 5.3 and 5.6 budgets of 256 kB."""
     sp = _square_cloud_matrix(600)
     budget = space_mod._PAIR_BLOCK_ENTRIES * 8
     spec = NormSpec(2, 2)
@@ -1194,26 +1276,38 @@ for n in (400, 600):
         masks = sp.dist <= r
         mu = (masks * w).sum(axis=1)
         kernel = AveragingKernel.build(sp, r)
-        whole = {"ball_measures": mu,
-                 "means": (w / mu[:, None]) * masks @ values,
-                 "symm_diff_measures": np.concatenate(
-                     [(masks[b] * w) @ ~masks.T + ((masks * w) @ ~masks[b].T).T
-                      for b in sp.pair_blocks()])}
-        blocked = {"ball_measures": sp.ball_measures(r),
-                   "means": kernel.means(values),
-                   "symm_diff_measures": np.concatenate(
-                       [sp.symm_diff_measures(r, b) for b in sp.pair_blocks()])}
+        whole = {"ball_measures": mu, "means": (w / mu[:, None]) * masks @ values}
+        blocked = {"ball_measures": sp.ball_measures(r), "means": kernel.means(values)}
         differ += [f"{name} n={n} r={r}" for name in whole
                    if whole[name].tobytes() != blocked[name].tobytes()]
 print(json.dumps(differ))
 """
 
 
+def test_equicontinuity_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """`verify --lemma equicontinuity` on a 400-atom matrix space writes the
+    same bytes at one and at two BLAS threads, in fresh processes."""
+    sp = _square_cloud_matrix(400)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"kind": "matrix", "dist": sp.dist.tolist(),
+                                "weights": sp.weights.tolist()}))
+    outs = []
+    for threads in ("1", "2"):
+        env = fresh_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma",
+                              "equicontinuity", "--space", str(path), "--r", "1", "--p", "2",
+                              "--q", "2", "--seed", "3", "--trials", "8"],
+                             capture_output=True, text=True, timeout=300, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_matrix_blocks_and_tiles_have_the_bits_of_whole_products():
     """At one BLAS thread, the row blocks of the ball measures and of a
-    kernel's means, and the column tiles of a block of symmetric
-    differences, give the bits of the products over all rows or all
-    columns, at 400 and 600 atoms."""
+    kernel's means give the bits of the products over all rows, at 400
+    and 600 atoms."""
     env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     res = subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS,
                           str(Path(__file__).resolve().parent)],
