@@ -75,7 +75,10 @@ class AveragingKernel:
         weights, measures = self.space.weights, self.ball_measures
         out = np.empty(values.shape)
         for rows, cols, inside in self.space.ball_blocks(self.r):
-            out[rows] = (inside * weights[cols]) / measures[rows, None] @ values[cols]
+            block = np.zeros(inside.shape)
+            np.copyto(block, weights[cols], where=inside)
+            out[rows] = np.divide(block, measures[rows, None], out=block) @ values[cols]
+            del block  # before the next block is allocated
         return out
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:

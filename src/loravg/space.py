@@ -12,15 +12,15 @@ ball layer of `MetricMeasureSpace` (`distance_row`, `ball_mask`,
 `ball_blocks`, `ball_measures`); the averaging operator and the checks
 read balls only through it.  A matrix space holds its full distance
 matrix, and the layer forms its balls and their products in row blocks
-and column tiles of about 256 kB of float64.  A line space (a cloud of
+and column tiles of 128 kB of float64.  A line space (a cloud of
 dimension 1, or a lattice) keeps its coordinates and their sort order
 instead, and forms the matrix only when `dist` is first read.  There a
 ball is a run of consecutive atoms in coordinate order (`ball_runs`), so
-the layer needs O(n) memory and no n x n array.  Spaces are immutable, so
-each space keeps one memo per radius, read-only: the runs of a line space
-(by sorted position and by atom), the ball measures of either form and
-their limb measures (see `_limbs`) are computed once, and every ball
-measure is read from it.
+the layer needs O(n) memory and no n x n array.  Every ball measure and
+every measure of a symmetric difference sums the weights' exact integer
+limbs (see `_limbs`), so both forms of one space give it the same
+bits.  Spaces are immutable, so each space keeps its runs, ball measures
+and limb measures in one read-only memo per radius.
 """
 
 import bisect
@@ -356,13 +356,14 @@ class MetricMeasureSpace:
         about _PAIR_BLOCK_ENTRIES entries each, in a multiple of four rows
         but the last, which is never a single row: BLAS sums the rows of a
         product four at a time and a leftover row in another order, and
-        numpy takes a one-row product as a dot product, so each row keeps
-        the bits it has in the product over all rows.  On a line space the ball of the atom at sorted
-        position s is the run [lo[s], hi[s]) (see `ball_runs`), and both
-        ends grow with s.  So a block of sorted positions [a, b) needs only
-        the columns [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest
-        run), and rows per block, with at most about _BLOCK_ENTRIES
-        entries, grow with the longest run.
+        numpy takes a one-row product as a dot product, so each row of the
+        means keeps the bits it has in the product over all rows.  On a line
+        space the ball of the atom at sorted position s is the run
+        [lo[s], hi[s]) (see `ball_runs`), and both ends grow with s.  So a
+        block of sorted positions [a, b) needs only the columns
+        [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest run), and
+        rows per block, with at most about _BLOCK_ENTRIES entries, grow
+        with the longest run.
         """
         _check_radius(r)
         n = self.natoms
@@ -386,25 +387,11 @@ class MetricMeasureSpace:
     @_per_radius
     def ball_measures(self, r: float) -> np.ndarray:
         """mu(B(x, r)) for every atom x at once, as a read-only array that
-        is computed once per radius.
-
-        A matrix space sums the rows of `ball_blocks` times the weights.  A
-        line space sums each ball's run with np.add.reduceat (differences
-        of prefix sums would cancel).
-        """
-        if self.coords is None:
-            out = np.concatenate([(inside * self.weights).sum(axis=1)
-                                  for _, _, inside in self.ball_blocks(r)])
-        else:
-            # A trailing zero makes hi = n a valid index.  Every run is
-            # nonempty, so the even entries of reduceat over
-            # (lo_0, hi_0, lo_1, ...) are the run sums; the odd ones are
-            # single entries, as lo[s+1] <= hi[s].
-            bounds = np.column_stack(self.ball_runs(r)).ravel()
-            out = np.empty(self.natoms)
-            out[self.order] = np.add.reduceat(np.append(self.weights[self.order], 0.0),
-                                              bounds)[::2]
-        return out
+        is computed once per radius: the exact limb sums m_k(B(x, r)) (see
+        `_limb_sums`) added as ldexp(m_k, shift_k) in ascending k.  So a
+        measure does not depend on the space's form, its blocks or BLAS,
+        and with at most two limbs it is correctly rounded."""
+        return sum(np.ldexp(m, shift, out=m) for shift, m in zip(*self._limb_sums(r)))
 
     def pair_blocks(self) -> list[slice]:
         """Consecutive slices of atoms covering all of them, of lengths
@@ -434,11 +421,10 @@ class MetricMeasureSpace:
         """
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
-        shifts, limbs = self._limbs
-        m = self._limb_measures(r)
+        shifts, m = self._limb_measures(r)
         out = np.zeros((stop - start, self.natoms))
         if self.coords is None:
-            dist, tiles = self.dist, self.pair_blocks()
+            dist, tiles, limbs = self.dist, self.pair_blocks(), self._limbs(self.weights)[1]
             for a in range(start, stop, tiles[0].stop):
                 b = slice(a, min(a + tiles[0].stop, stop))
                 block = out[a - start:b.stop - start]
@@ -466,41 +452,52 @@ class MetricMeasureSpace:
         runs[:, self.order] = self.ball_runs(r)
         return runs[0], runs[1]
 
-    @functools.cached_property
-    def _limbs(self) -> tuple[list[int], np.ndarray]:
-        """(shifts, limbs): the weights split exactly into integer limbs,
-        w = sum_k ldexp(limbs[k], shifts[k]) with ascending shifts, each
-        below 2^(52 - n.bit_length()), so that any 2n limbs of one k sum
-        exactly in any order.  Limbs that are 0 at every atom are left out:
-        weights in [0.2, 3) take two, equal ones one.  limbs is read-only."""
+    def _limbs(self, weights: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+        """(shifts, limbs): weights (the space's, in any order, or with
+        zeros added) split exactly into integer limbs, w = sum_k
+        ldexp(limbs[k], shifts[k]) with ascending shifts, each below
+        2^(52 - n.bit_length()), so that any 2n limbs of one k sum exactly
+        in any order.  Limbs that are 0 at every atom are left out: weights
+        in [0.2, 3) take two, equal ones one.  limbs is a list of new
+        arrays, which no space keeps."""
         width = 52 - self.natoms.bit_length()
-        _, exponents = np.frexp(self.weights)  # w < 2^exponent
-        shift, rest, shifts, limbs = int(exponents.max()), self.weights, [], []
-        while rest.any():
+        shift, rest, shifts, limbs = int(np.frexp(weights.max())[1]), weights.copy(), [], []
+        while np.count_nonzero(rest):
             shift -= width
-            limb = np.floor(np.ldexp(rest, -shift))
-            rest = rest - np.ldexp(limb, shift)
-            if limb.any():
+            limb = np.ldexp(rest, -shift)
+            rest -= np.ldexp(np.floor(limb, out=limb), shift)
+            if np.count_nonzero(limb):
                 shifts.insert(0, shift)
                 limbs.insert(0, limb)
-        return shifts, _read_only(limbs)
+        return shifts, limbs
 
     @functools.cached_property
     def _limb_prefix(self) -> np.ndarray:
-        """A line space's (K, n + 1) limb prefix sums in sorted order, exact
-        and read-only."""
-        prefix = np.cumsum(self._limbs[1][:, self.order], axis=1)
-        return _read_only(np.pad(prefix, ((0, 0), (1, 0))))
+        """A line space's (K, n + 1) limb prefix sums in sorted order, read-only."""
+        limbs = self._limbs(np.append(0.0, self.weights[self.order]))[1]
+        return _read_only(np.cumsum(limbs, axis=1))
 
-    @_per_radius
-    def _limb_measures(self, r: float) -> np.ndarray:
-        """m_k(B(x, r)), the exact sum of limb k over the ball, for every
-        limb k and atom x, as a (K, n) array."""
+    def _limb_sums(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """(shifts, m): the limbs' shifts and m_k(B(x, r)), the exact sum of
+        limb k over the ball, for every limb k and atom x, as a (K, n)
+        array: per limb, a product with each block of `ball_blocks`, or a
+        difference of the limbs' prefix sums over the runs of `ball_runs`."""
         if self.coords is None:
-            return np.concatenate([self._limbs[1] @ inside.T
-                                   for _, _, inside in self.ball_blocks(r)], axis=1)
-        lo, hi = self._atom_runs(r)
-        return self._limb_prefix[:, hi] - self._limb_prefix[:, lo]
+            shifts, limbs = self._limbs(self.weights)
+            out = np.empty((len(limbs), self.natoms))
+            for rows, _, inside in self.ball_blocks(r):
+                for limb, m in zip(limbs, out):
+                    m[rows] = inside @ limb
+        else:  # the sorted limbs' prefix sums, after a zero: integers below 2^52, exact
+            lo, hi = self.ball_runs(r)
+            shifts, limbs = self._limbs(np.append(0.0, self.weights[self.order]))
+            out = np.empty((len(shifts), self.natoms))
+            for prefix, m in zip(limbs, out):
+                m[self.order] = np.cumsum(prefix, out=prefix)[hi]
+                m[self.order] -= prefix[lo]
+        return np.array(shifts, dtype=np.intc), out  # ldexp's own exponent type: no cast
+
+    _limb_measures = _per_radius(_limb_sums)
 
     def _check_atom(self, x: int) -> None:
         if not 0 <= x < self.natoms:

@@ -275,6 +275,35 @@ def test_verify_worst_ratio_and_c_come_from_the_checks(capsys, tmp_path, lemma):
     assert payload["constant_c"] == (None if lemma == "equicontinuity" else c)
 
 
+def test_cloud_and_matrix_forms_print_one_distribution_constant(tmp_path):
+    """One 1-D space, given as a cloud (a line space) and as its distance
+    matrix (a matrix space): `verify --lemma distribution` prints the same
+    constant_c lines, and the two forms have the same ball measures and
+    gammas (which the report does not print), as both sum the same exact
+    weight limbs."""
+    from loravg.averaging import distribution_constant
+
+    rng = np.random.default_rng(3)
+    cloud = {"kind": "cloud", "metric": "l1",
+             "coords": rng.uniform(0.0, 100.0, (300, 1)).tolist(),
+             "weights": rng.uniform(0.2, 3.0, 300).tolist()}
+    line = loravg.build_space(cloud)
+    matrix = {"kind": "matrix", "dist": line.dist.tolist(), "weights": cloud["weights"]}
+    printed = []
+    for spec in (cloud, matrix):
+        code, _, out = _run_files(tmp_path, spec, None, [
+            "verify", "--lemma", "distribution", "--r", "1", "--p", "2", "--q", "2",
+            "--seed", "3", "--trials", "4"])
+        assert code == 0
+        printed.append([text for text in out.splitlines()
+                        if '"c"' in text or "constant_c" in text])
+    assert len(printed[0]) == 5 and printed[0] == printed[1]
+    matrix_space = loravg.build_space(matrix)
+    for r in (1.0, 2.0, 4.0, 8.0):
+        assert line.ball_measures(r).tobytes() == matrix_space.ball_measures(r).tobytes()
+    assert distribution_constant(line, 1.0) == distribution_constant(matrix_space, 1.0)
+
+
 def test_equicontinuity_ties_go_to_the_first_pair_in_row_major_order(monkeypatch):
     """On singleton balls of equal weight every pair of distinct atoms has
     the same bound, so (0, 3) and (3, 0), of the largest |f(x) - f(y)|,

@@ -464,12 +464,6 @@ def cloud_cases(draw):
     return coords, metric, np.array(weights)
 
 
-def _measure_rtol(n):
-    """Two sums of n positive terms in different orders differ by at most
-    2 (n - 1) eps relative."""
-    return 2 * (n - 1) * np.finfo(float).eps
-
-
 @settings(max_examples=300, deadline=None)
 @given(cloud_cases(), st.floats(0, 1), st.integers(1, 40))
 def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, block):
@@ -481,21 +475,16 @@ def test_from_cloud_and_ball_layer_match_broadcast_references(case, quantile, bl
     assert np.all(np.diagonal(dist) == 0.0)
     r = float(np.quantile(dist, quantile))
     masks = dist <= r
-    measures = (masks * weights).sum(axis=1)
-
-    def assert_measures(got):
-        if coords.shape[1] > 1:
-            assert got.tobytes() == measures.tobytes()
-        else:  # line spaces sum each ball's run of atoms in coordinate order
-            assert np.all(np.abs(got - measures) <= _measure_rtol(len(weights)) * measures)
-
+    # These weights take at most two limbs, so the measures are fsum's.
+    assert len(sp._limbs(sp.weights)[0]) <= 2
+    measures = np.array([math.fsum(weights[mask].tolist()) for mask in masks])
     with mock.patch.object(space_mod, "_BLOCK_ENTRIES", block), \
             mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", block):  # several row blocks
-        assert_measures(sp.ball_measures(r))
-    assert_measures(sp.ball_measures(r))
+        assert sp.ball_measures(r).tobytes() == measures.tobytes()
+    assert sp.ball_measures(r).tobytes() == measures.tobytes()
     if r > 0:
         kernel = AveragingKernel.build(sp, r)
-        assert_measures(kernel.ball_measures)
+        assert kernel.ball_measures.tobytes() == measures.tobytes()
         weighted = masks * weights
         matrix = weighted / kernel.ball_measures[:, None]
         assert kernel.means(np.eye(len(weights))).tobytes() == matrix.tobytes()
@@ -839,8 +828,10 @@ def test_interval_ball_layer_matches_matrix_forms(case, data):
         assert np.array_equal(masks[x], dist[x] <= r)
     assert np.array_equal(sp.ball_masks(r), dist <= r)
     assert diameter == dist.max()
-    want = ((dist <= r) * sp.weights).sum(axis=1)
-    assert np.all(np.abs(measures - want) <= _measure_rtol(n) * want)
+    matrix_form = MetricMeasureSpace.from_matrix(dist, sp.weights, skip_validation=True)
+    assert measures.tobytes() == matrix_form.ball_measures(r).tobytes()
+    assert len(sp._limbs(sp.weights)[0]) <= 2  # so the measures are fsum's
+    assert measures.tolist() == [math.fsum(sp.weights[row <= r].tolist()) for row in dist]
     if kernel:
         matrix = (dist <= r) * sp.weights
         matrix /= kernel.ball_measures[:, None]
@@ -962,7 +953,7 @@ def test_symm_diff_measures_against_an_exact_referee(n, seed, log_range, entries
             got.append(sd.tobytes())
             a, b = sorted(rng.integers(0, n + 1, 2))
             assert sd[a:b].tobytes() == sp.symm_diff_measures(r, slice(a, b)).tobytes()
-            masks, limbs = sp.dist <= r, len(sp._limbs[0])
+            masks, limbs = sp.dist <= r, len(sp._limbs(sp.weights)[0])
             pairs = (itertools.product(range(n), repeat=2) if n <= 12
                      else rng.integers(n, size=(2000, 2)))
             for x, y in pairs:
@@ -977,6 +968,37 @@ def test_symm_diff_measures_against_an_exact_referee(n, seed, log_range, entries
     assert got[0] == got[1]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 60, 1000]),
+       st.integers(1, 40), st.floats(0.0, 1.0))
+@example(401, 3, 1000, space_mod._PAIR_BLOCK_ENTRIES, 0.2)
+@example(401, 4, 1, space_mod._PAIR_BLOCK_ENTRIES, 0.05)
+def test_ball_measures_against_an_exact_referee(n, seed, log_range, entries, quantile):
+    """Against math.fsum of each ball's weights: equal with at most two
+    limbs, else within (K - 1) / 2 ulps for K limbs.  Blocks of any size
+    give the same bits, and so do the line and matrix forms of one 1-D
+    space, whose doubling constants are then the same too."""
+    spaces = _limb_referee_spaces(n, seed, log_range)
+    radii = [float(np.quantile(sp.dist, quantile)) for sp in spaces]
+    with mock.patch.object(space_mod, "_BLOCK_ENTRIES", entries), \
+            mock.patch.object(space_mod, "_PAIR_BLOCK_ENTRIES", entries):
+        blocked = [sp.ball_measures(r) for sp, r in zip(_limb_referee_spaces(n, seed, log_range),
+                                                         radii)]
+    for sp, r, other in zip(spaces, radii, blocked):
+        measures, limbs = sp.ball_measures(r), len(sp._limbs(sp.weights)[0])
+        assert measures.tobytes() == other.tobytes()
+        for got, mask in zip(measures, sp.dist <= r):
+            want = math.fsum(sp.weights[mask].tolist())
+            if limbs <= 2:
+                assert got == want
+            else:
+                assert abs(got - want) <= (limbs - 1) / 2 * np.spacing(max(got, want))
+    line, matrix, _ = spaces
+    assert line.ball_measures(radii[0]).tobytes() == matrix.ball_measures(radii[0]).tobytes()
+    if radii[0] > 0:
+        assert doubling_constant(line, radii[0]) == doubling_constant(matrix, radii[0])
+
+
 def test_symm_diff_measure_has_the_bits_of_the_rows(rng):
     """The scalar symm_diff_measure, and so equicontinuity_modulus's bound,
     has the bits of the symm_diff_measures rows on both forms, whose
@@ -984,7 +1006,7 @@ def test_symm_diff_measure_has_the_bits_of_the_rows(rng):
     for dim in (1, 2):
         sp = MetricMeasureSpace.from_cloud(rng.uniform(0.0, 10.0, (50, dim)), metric="l1",
                                            weights=rng.uniform(0.2, 3.0, 50))
-        assert len(sp._limbs[0]) == 2
+        assert len(sp._limbs(sp.weights)[0]) == 2
         for r in (0.5, 2.0):
             sd = sp.symm_diff_measures(r)
             for x, y in rng.integers(50, size=(40, 2)):
@@ -1021,9 +1043,9 @@ def test_ball_runs_are_computed_once_per_radius():
 
 def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
     """symm_diff_measures reads per-atom runs and limb measures memoized
-    per radius, and one memo of limbs and their prefix sums: radii asked
-    for in any order give the bits of a fresh space, and the memos are
-    read-only."""
+    per radius, and one memo of the limbs' prefix sums: radii asked for
+    in any order give the bits of a fresh space, and the memos and the
+    limbs are read-only."""
     coords = rng.uniform(0.0, 30.0, 60)
     weights = rng.uniform(0.2, 3.0, 60)
     sp = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
@@ -1036,9 +1058,9 @@ def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
         lo, hi = sp._atom_runs(r)
         assert not lo.flags.writeable and not hi.flags.writeable
         assert sp._atom_runs(r)[0] is lo
-        assert not sp._limb_measures(r).flags.writeable
+        assert not any(a.flags.writeable for a in sp._limb_measures(r))
         assert sp._limb_measures(r) is sp._limb_measures(r)
-    assert not sp._limbs[1].flags.writeable and not sp._limb_prefix.flags.writeable
+    assert not sp._limb_prefix.flags.writeable
 
 
 def test_line_kernel_bands_match_matrix_on_long_runs(rng):
@@ -1096,8 +1118,7 @@ def test_weighted_lattice_stays_a_line_space(rng):
     assert sp == ref
     g = FunctionOnSpace(ref, f.values)
     for r, got in measures.items():
-        want = ref.ball_measures(r)
-        assert np.all(np.abs(got - want) <= _measure_rtol(41) * want)
+        assert got.tobytes() == ref.ball_measures(r).tobytes()
         np.testing.assert_allclose(averages[r], average(ref, g, r).values, rtol=0,
                                    atol=1e-14 * np.abs(f.values).max())
 
@@ -1242,18 +1263,20 @@ def test_matrix_ball_layer_stays_within_a_few_block_budgets():
     """At 600 atoms the ball measures, the kernel's means, a block of
     symmetric differences and the equicontinuity walk over 8 trials each
     form float operands of one block or tile (_PAIR_BLOCK_ENTRIES float64
-    entries), where whole-matrix operands took 2.5 to 4.1 MB.  A block of
-    symmetric differences and the walk stay under 4 budgets: with both
+    entries), where whole-matrix operands took 2.5 to 4.1 MB.  The ball
+    measures (1.2 budgets) and the means (1.6 and 1.7) stay under 2: with
+    a float copy of each block's mask they took 2.0, 2.4 and 2.6.  A block
+    of symmetric differences and the walk stay under 4 budgets: with both
     products of a tile at once, the whole mask and the bound's temporaries
     they took 5.3 and 5.6 budgets of 256 kB."""
     sp = _square_cloud_matrix(600)
     budget = space_mod._PAIR_BLOCK_ENTRIES * 8
     spec = NormSpec(2, 2)
     fs = sample_unit_sphere(sp, spec, 8, 3)
-    peaks = {"ball_measures": (_traced_peak(lambda: sp.ball_measures(1.0)), 6)}
+    peaks = {"ball_measures": (_traced_peak(lambda: sp.ball_measures(1.0)), 2)}
     kernel = AveragingKernel.build(sp, 1.0)
-    peaks["means"] = (_traced_peak(lambda: kernel.means(np.ones(600))), 6)
-    peaks["means of 3 columns"] = (_traced_peak(lambda: kernel.means(np.ones((600, 3)))), 6)
+    peaks["means"] = (_traced_peak(lambda: kernel.means(np.ones(600))), 2)
+    peaks["means of 3 columns"] = (_traced_peak(lambda: kernel.means(np.ones((600, 3)))), 2)
     peaks["symm_diff_measures"] = (_traced_peak(
         lambda: sp.symm_diff_measures(1.0, sp.pair_blocks()[0])), 4)
     peaks["equicontinuity_pairs"] = (_traced_peak(
@@ -1263,7 +1286,7 @@ def test_matrix_ball_layer_stays_within_a_few_block_budgets():
 
 
 _WHOLE_PRODUCTS = """
-import json, sys
+import json, math, sys
 import numpy as np
 sys.path[:0] = sys.argv[1:2]
 from test_space import _square_cloud_matrix
@@ -1273,20 +1296,31 @@ for n in (400, 600):
     sp = _square_cloud_matrix(n)
     w, values = sp.weights, np.random.default_rng(n).standard_normal(n)
     for r in (0.5, 1.0, 2.0):
-        masks = sp.dist <= r
-        mu = (masks * w).sum(axis=1)
+        masks, mu = sp.dist <= r, sp.ball_measures(r)
         kernel = AveragingKernel.build(sp, r)
-        whole = {"ball_measures": mu, "means": (w / mu[:, None]) * masks @ values}
-        blocked = {"ball_measures": sp.ball_measures(r), "means": kernel.means(values)}
+        whole = {"ball_measures": np.array([math.fsum(w[m].tolist()) for m in masks]),
+                 "means": (w / mu[:, None]) * masks @ values}
+        blocked = {"ball_measures": mu, "means": kernel.means(values)}
         differ += [f"{name} n={n} r={r}" for name in whole
                    if whole[name].tobytes() != blocked[name].tobytes()]
 print(json.dumps(differ))
 """
 
 
-def test_equicontinuity_output_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """`verify --lemma equicontinuity` on a 400-atom matrix space writes the
-    same bytes at one and at two BLAS threads, in fresh processes."""
+# The options of the `verify` commands of the `sweep` benchmark, by lemma.
+_SWEEP_VERIFY = {
+    "distribution": ["--p", "2", "--q", "2", "--trials", "1"],
+    "rearrange": ["--p", "2", "--q", "2", "--trials", "8"],
+    "equicontinuity": ["--p", "2", "--q", "2", "--trials", "8"],
+    "operator-bound": ["--variant", "double-star", "--p", "3", "--q", "2", "--trials", "8"],
+}
+
+
+@pytest.mark.parametrize("lemma", _SWEEP_VERIFY)
+def test_verify_output_does_not_depend_on_the_blas_thread_count(tmp_path, lemma):
+    """Each `verify` command of the `sweep` benchmark, on a 400-atom matrix
+    space, writes the same bytes at one and at two BLAS threads, in fresh
+    processes."""
     sp = _square_cloud_matrix(400)
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"kind": "matrix", "dist": sp.dist.tolist(),
@@ -1295,9 +1329,9 @@ def test_equicontinuity_output_does_not_depend_on_the_blas_thread_count(tmp_path
     for threads in ("1", "2"):
         env = fresh_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                         MKL_NUM_THREADS=threads)
-        res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma",
-                              "equicontinuity", "--space", str(path), "--r", "1", "--p", "2",
-                              "--q", "2", "--seed", "3", "--trials", "8"],
+        res = subprocess.run([sys.executable, "-m", "loravg.cli", "verify", "--lemma", lemma,
+                              "--space", str(path), "--r", "1", "--seed", "3",
+                              *_SWEEP_VERIFY[lemma]],
                              capture_output=True, text=True, timeout=300, env=env)
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout)
@@ -1305,9 +1339,9 @@ def test_equicontinuity_output_does_not_depend_on_the_blas_thread_count(tmp_path
 
 
 def test_matrix_blocks_and_tiles_have_the_bits_of_whole_products():
-    """At one BLAS thread, the row blocks of the ball measures and of a
-    kernel's means give the bits of the products over all rows, at 400
-    and 600 atoms."""
+    """At one BLAS thread, the row blocks of a kernel's means give the bits
+    of the product over all rows, and the ball measures are math.fsum of
+    each ball's weights, at 400 and 600 atoms."""
     env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     res = subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS,
                           str(Path(__file__).resolve().parent)],
