@@ -79,6 +79,7 @@ class AveragingKernel:
             np.copyto(block, weights[cols], where=inside)
             out[rows] = np.divide(block, measures[rows, None], out=block) @ values[cols]
             del block  # before the next block is allocated
+        out.setflags(write=False)  # so that `apply` hands it over without a copy
         return out
 
     def apply(self, f: FunctionOnSpace) -> FunctionOnSpace:
@@ -106,13 +107,15 @@ def equicontinuity_modulus(space: MetricMeasureSpace, x: int, y: int, r: float,
 
     exact is the attained supremum, available on the plain Lebesgue
     diagonal p = q where it is the dual norm of the kernel-row difference
-    density; None otherwise.
+    density; None otherwise.  A bound that is not finite raises DomainError.
     """
     sd = symm_diff_measure(space, x, y, r)  # checks both atoms
     mu_x, mu_y = map(float, space.ball_measures(r)[[x, y]])
     alpha_x = holder_constants(spec, mu_x).alpha
     alpha_sd = holder_constants(spec, sd).alpha
     bound = abs(1.0 / mu_x - 1.0 / mu_y) * alpha_x + alpha_sd / mu_y
+    if not math.isfinite(bound):
+        raise DomainError(f"the equicontinuity bound at radius {r:g} overflows")
     if not (spec.variant == PLAIN and spec.p == spec.q and math.isfinite(spec.p)):
         return bound, None
     return bound, float(_difference_densities(space, r, [x, y], spec.p / (spec.p - 1.0))[0])
@@ -130,13 +133,14 @@ def _difference_densities(space: MetricMeasureSpace, r: float, atoms, dual_p=Non
         for a in atoms:
             space._check_atom(a)
     mu, masks = mu[atoms, None], space.ball_masks(r, atoms)
-    g = masks[:-1] / mu[:-1]
-    g -= masks[1:] / mu[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        g = masks[:-1] / mu[:-1]
+        g -= masks[1:] / mu[1:]
     not_finite = np.flatnonzero(~np.isfinite(g).all(axis=1))
     if dual_p is not None:
         g = lebesgue_norms(g[:not_finite[0]] if not_finite.size else g, space.weights, dual_p)
     if not_finite.size:
-        raise DomainError("function values must be finite")
+        raise DomainError(f"the difference density at radius {r:g} overflows")
     return g
 
 
@@ -150,6 +154,7 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
     if not (1 < p < math.inf):
         raise DomainError("extremal construction needs p in (1, inf)")
     g = _difference_densities(space, r, [x, y])[0]
+    g /= np.abs(g).max() or 1.0  # a positive multiple, whose power cannot overflow
     pp = p / (p - 1.0)
     values = np.sign(g) * np.abs(g) ** (pp - 1.0)
     f = FunctionOnSpace(space, values)
@@ -323,6 +328,7 @@ def sample_unit_sphere(space: MetricMeasureSpace, spec: NormSpec, n: int,
         k = int(quantile * (space.natoms - 1))
         row[space.ball_mask(center, np.partition(space.distance_row(center), k)[k])] = level
     values *= 1.0 / lorentz_norms(values, space.weights, spec)[:, None]
+    values.setflags(write=False)  # so the functions take their rows without a copy
     return [FunctionOnSpace(space, row) for row in values]
 
 

@@ -194,6 +194,8 @@ def _space_from_args(args) -> "MetricMeasureSpace":
 
 
 def _function_from_args(args, sp) -> "FunctionOnSpace":
+    import numpy as np
+
     from .rearrange import FunctionOnSpace
 
     payload = _load_json(args.fn)
@@ -202,7 +204,7 @@ def _function_from_args(args, sp) -> "FunctionOnSpace":
     values = pack_floats(payload["values"])
     if values is None:
         raise CLIError(f"function values in {args.fn} must be numbers")
-    return FunctionOnSpace(sp, values)
+    return FunctionOnSpace(sp, np.asarray(values))  # read-only, so taken without a copy
 
 
 def _norm_spec(args) -> "NormSpec":
@@ -324,8 +326,9 @@ def _trial_functions(args, sp, spec) -> list["FunctionOnSpace"]:
         return sample_unit_sphere(sp, spec, args.trials, seed)
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    return [FunctionOnSpace(sp, rng.standard_normal(sp.natoms)) for _ in range(args.trials)]
+    values = np.random.default_rng(seed).standard_normal((args.trials, sp.natoms))
+    values.setflags(write=False)  # so the functions take their rows without a copy
+    return [FunctionOnSpace(sp, row) for row in values]
 
 
 def _trial_check(lemma: str, sp, i: int, f, r: float, spec) -> dict:

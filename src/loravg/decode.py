@@ -23,7 +23,7 @@ _FLOAT64 = ("<" if sys.byteorder == "little" else ">") + "f8"
 class PackedFloats:
     """Floats in row-major order in an array('d'), and the shape of the
     lists they came from.  np.asarray reads them, through the array
-    interface, as a float64 array of that shape without a copy."""
+    interface, as a read-only float64 array of that shape without a copy."""
 
     __slots__ = ("values", "shape")
 
@@ -32,7 +32,8 @@ class PackedFloats:
 
     @property
     def __array_interface__(self) -> dict:
-        return {"shape": self.shape, "typestr": _FLOAT64, "data": self.values, "version": 3}
+        return {"shape": self.shape, "typestr": _FLOAT64,
+                "data": memoryview(self.values).toreadonly(), "version": 3}
 
 
 def _lists_of(nodes: list, size: int) -> bool:

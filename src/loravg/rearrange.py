@@ -25,23 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, _read_only
 
 
 @dataclass(frozen=True)
 class FunctionOnSpace:
-    """A real value per atom of a fixed space."""
+    """A real value per atom of a fixed space, which takes values as a
+    space takes its arrays (see `space._read_only`)."""
 
     space: MetricMeasureSpace
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        values = _read_only(self.values)
         if values.shape != (self.space.natoms,):
             raise DomainError("need exactly one value per atom")
         if not np.all(np.isfinite(values)):
             raise DomainError("function values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @classmethod

@@ -256,7 +256,7 @@ class MetricMeasureSpace:
         space = object.__new__(cls)
         space.__dict__.update(weights=_checked_weights(weights),
                               coords=coords, metric=metric, metric_by_construction=True,
-                              order=order, _sorted=coords[order], _memos={})
+                              order=order, _memos={})
         return space
 
     def __setattr__(self, name, value):
@@ -282,7 +282,8 @@ class MetricMeasureSpace:
     def diameter(self) -> float:
         if self.coords is None:
             return float(self.dist.max())
-        return float(_line_distance(self.metric, self._sorted[-1:], self._sorted[:1])[0])
+        ends = self.coords[self.order[[-1, 0]]]
+        return float(_line_distance(self.metric, ends[:1], ends[1:])[0])
 
     def __eq__(self, other) -> bool:
         """Same weights and distances, however the metric was checked,
@@ -319,9 +320,9 @@ class MetricMeasureSpace:
 
     @_per_radius
     def ball_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi): on a line space, the ball of radius r around the atom
-        at sorted position s is the run of sorted positions [lo[s], hi[s]).
-        Both are read-only and computed once per radius.
+        """(lo, hi): on a line space, the ball B(x, r) of every atom x is
+        the run of sorted positions [lo[x], hi[x]).  Both are read-only and
+        computed once per radius.
 
         Both ends are found by a vectorized bisection (binary lifting) on
         the exact predicate d(y, x) <= r, which holds on a run because d
@@ -329,16 +330,18 @@ class MetricMeasureSpace:
         """
         if self.coords is None:
             raise DomainError("only a line space has its balls as runs")
-        c, n = self._sorted, self.natoms
+        coords, order, n = self.coords, self.order, self.natoms
 
         def reaches(probe):
-            """Whether position probe lies in the ball of each position."""
+            """Whether sorted position probe[x] lies in the ball of each atom x."""
             inside = (probe >= 0) & (probe < n)
-            inside[inside] = _line_distance(self.metric, c[probe[inside]], c[inside]) <= r
+            inside[inside] = _line_distance(self.metric, coords[order[probe[inside]]],
+                                            coords[inside]) <= r
             return inside
 
-        at = np.arange(n)
-        lo, hi = at.copy(), at + 1
+        lo = np.empty(n, dtype=int)
+        lo[order] = np.arange(n)
+        hi = lo + 1
         step = 1 << (n.bit_length() - 1)
         while step:
             hi += step * reaches(hi + step - 1)
@@ -358,12 +361,12 @@ class MetricMeasureSpace:
         product four at a time and a leftover row in another order, and
         numpy takes a one-row product as a dot product, so each row of the
         means keeps the bits it has in the product over all rows.  On a line
-        space the ball of the atom at sorted position s is the run
-        [lo[s], hi[s]) (see `ball_runs`), and both ends grow with s.  So a
-        block of sorted positions [a, b) needs only the columns
-        [lo[a], hi[b - 1]), fewer than (b - a) + 2 * (longest run), and
-        rows per block, with at most about _BLOCK_ENTRIES entries, grow
-        with the longest run.
+        space a block's rows are the atoms at consecutive sorted positions,
+        whose runs (see `ball_runs`) have ends that grow with the position.
+        So the block needs only the columns from its first row's lo to its
+        last row's hi, fewer than its rows plus twice the longest run, and
+        rows per block, with at most about _BLOCK_ENTRIES entries, grow with
+        the longest run.
         """
         _check_radius(r)
         n = self.natoms
@@ -379,10 +382,10 @@ class MetricMeasureSpace:
         longest = int((hi - lo).max())
         step = max(1, min(max(64, longest), _BLOCK_ENTRIES // (3 * longest)))
         for a in range(0, n, step):
-            b = min(a + step, n)
-            at = np.arange(lo[a], hi[b - 1])
-            yield (order[a:b], order[lo[a]:hi[b - 1]],
-                   (at >= lo[a:b, None]) & (at < hi[a:b, None]))
+            rows = order[a:a + step]
+            start, stop = lo[rows[0]], hi[rows[-1]]
+            at = np.arange(start, stop)
+            yield rows, order[start:stop], (at >= lo[rows, None]) & (at < hi[rows, None])
 
     @_per_radius
     def ball_measures(self, r: float) -> np.ndarray:
@@ -414,43 +417,31 @@ class MetricMeasureSpace:
         are summed in ascending k, so an entry does not depend on the rows
         asked for, the tiles, BLAS or the space's form; with at most two
         limbs it is correctly rounded.  A matrix space takes the meets as a
-        product per limb of a block's and a tile's masks (see
-        `pair_blocks`), read from `dist` as they are needed.  On a line
-        space the meet of two runs (see `ball_runs`) is a run, read from the
-        limbs' prefix sums in sorted order.
+        product per limb of the rows' masks and a tile's (see `pair_blocks`),
+        read from `dist` as they are needed.  On a line space the meet of two
+        runs (see `ball_runs`) is a run, read from the limbs' prefix sums in
+        sorted order.
         """
         _check_radius(r)
         start, stop, _ = rows.indices(self.natoms)
         shifts, m = self._limb_measures(r)
         out = np.zeros((stop - start, self.natoms))
         if self.coords is None:
-            dist, tiles, limbs = self.dist, self.pair_blocks(), self._limbs(self.weights)[1]
-            for a in range(start, stop, tiles[0].stop):
-                b = slice(a, min(a + tiles[0].stop, stop))
-                block = out[a - start:b.stop - start]
-                inside, weighted = dist[b] <= r, np.empty(block.shape)
-                for shift, limb, mk in zip(shifts, limbs, m):
-                    weighted.fill(0.0)  # then limb * inside, without a float copy of inside
-                    np.copyto(weighted, limb, where=inside)
-                    for c in tiles:
-                        _add_limb(block[:, c], shift, mk[b], mk[c],
-                                  weighted @ (dist[c] <= r).T)
+            dist, rows, tiles = self.dist, slice(start, stop), self.pair_blocks()
+            inside, weighted = dist[rows] <= r, np.empty(out.shape)
+            for shift, limb, mk in zip(shifts, self._limbs(self.weights)[1], m):
+                weighted.fill(0.0)  # then limb * inside, without a float copy of inside
+                np.copyto(weighted, limb, where=inside)
+                for c in tiles:
+                    _add_limb(out[:, c], shift, mk[rows], mk[c], weighted @ (dist[c] <= r).T)
             return out
-        lo, hi = self._atom_runs(r)
+        lo, hi = self.ball_runs(r)
         # The runs [lo_x, hi_x) and [lo_y, hi_y) meet in [max lo, max(max lo, min hi)).
         meet_lo = np.maximum(lo[start:stop, None], lo)
         meet_hi = np.maximum(meet_lo, np.minimum(hi[start:stop, None], hi))
         for shift, prefix, mk in zip(shifts, self._limb_prefix, m):
             _add_limb(out, shift, mk[start:stop], mk, prefix[meet_hi] - prefix[meet_lo])
         return out
-
-    @_per_radius
-    def _atom_runs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """`ball_runs` indexed by atom instead of sorted position: B(x, r) is
-        the run of sorted positions [lo[x], hi[x])."""
-        runs = np.empty((2, self.natoms), dtype=int)
-        runs[:, self.order] = self.ball_runs(r)
-        return runs[0], runs[1]
 
     def _limbs(self, weights: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
         """(shifts, limbs): weights (the space's, in any order, or with
@@ -493,8 +484,8 @@ class MetricMeasureSpace:
             shifts, limbs = self._limbs(np.append(0.0, self.weights[self.order]))
             out = np.empty((len(shifts), self.natoms))
             for prefix, m in zip(limbs, out):
-                m[self.order] = np.cumsum(prefix, out=prefix)[hi]
-                m[self.order] -= prefix[lo]
+                np.take(np.cumsum(prefix, out=prefix), hi, out=m)
+                m -= prefix[lo]
         return np.array(shifts, dtype=np.intc), out  # ldexp's own exponent type: no cast
 
     _limb_measures = _per_radius(_limb_sums)
@@ -610,9 +601,7 @@ def _floats(raw, key: str) -> np.ndarray:
     packed = pack_floats(raw)
     if packed is None:
         raise DomainError(f"space field {key!r} is not numeric")
-    floats = np.asarray(packed)
-    floats.setflags(write=False)
-    return floats
+    return np.asarray(packed)
 
 
 def _size_field(spec: dict, key: str) -> int:

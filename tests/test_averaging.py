@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loravg import (
@@ -63,6 +63,29 @@ def test_matrix_kernel_blocks_match_the_full_product(case, block, columns):
     matrix = (sp.dist <= r) * sp.weights / kernel.ball_measures[:, None]
     atol = 1e-14 * max(np.abs(values).max(), np.finfo(float).tiny)
     np.testing.assert_allclose(means, matrix @ values, rtol=0, atol=atol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(300, 3)
+def test_averaging_below_the_least_distance_returns_f(n, seed):
+    """Every ball of a radius below the least distance is one atom, so A_r f
+    is f, to the bit, on a line space and on matrix spaces, with weights
+    spread over 2^+-1000 and values over 2^+-500.  The kernel takes each
+    coefficient w_x / mu(B(x, r)) = 1 before it multiplies, so this holds;
+    a run sum (w f) / mu, which rounds w f first, misses f in about one
+    draw in ten at unit weights and values."""
+    rng = np.random.default_rng(seed)
+    coords = rng.choice(10 * n, n, replace=False) / 10.0
+    weights = np.exp2(rng.uniform(-1000, 1000, n))
+    f = rng.standard_normal(n) * np.exp2(rng.uniform(-500, 500, n))
+    line = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
+    plane = MetricMeasureSpace.from_cloud(np.column_stack((coords, rng.uniform(0, 1, n))),
+                                          metric="linf", weights=weights)
+    for sp in (line, MetricMeasureSpace.from_matrix(line.dist, weights), plane):
+        least = sp.dist[sp.dist > 0].min() if n > 1 else 1.0
+        got = average(sp, FunctionOnSpace(sp, f), float(np.nextafter(least, 0.0))).values
+        assert np.array_equal(got, f)
 
 
 def test_matrix_kernel_blocks_leave_no_single_row():
@@ -205,6 +228,41 @@ def test_extremal_attains_dual_norm(rng):
             avg = average(sp, f, 1.0).values
             assert abs(avg[x] - avg[y]) == pytest.approx(exact, abs=1e-9)
             assert exact <= bound * (1 + 1e-12)
+
+
+_PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+@pytest.mark.parametrize("spec", [NormSpec(3, 2), NormSpec(2, 2)])
+def test_equicontinuity_modulus_refuses_an_overflowing_bound(spec):
+    """1 / mu(B(x, r)) overflows at weights of 1e-320: the modulus names the
+    bound, as `equicontinuity_pairs` does, where it returned a NaN bound at
+    (3, 2) and blamed the function values at p = q, after numpy's
+    overflow warnings."""
+    sp = MetricMeasureSpace.from_matrix(_PATH3, [1e-320] * 3)
+    with pytest.raises(DomainError, match="^the equicontinuity bound at radius 0.5 overflows$"):
+        equicontinuity_modulus(sp, 0, 1, 0.5, spec)
+
+
+def test_extremal_pair_function_refuses_an_overflowing_density():
+    """The same space: the kernel-row difference density overflows, and no
+    function value is involved."""
+    sp = MetricMeasureSpace.from_matrix(_PATH3, [1e-320] * 3)
+    with pytest.raises(DomainError, match="^the difference density at radius 0.5 overflows$"):
+        extremal_pair_function(sp, 0, 1, 0.5, 2.0)
+
+
+def test_extremal_pair_function_at_small_weights():
+    """At weights of 1e-200 the density is finite, about 1e200, but its
+    power |g|^(p' - 1) at p = 1.5 is not; the maximizer is the normalized
+    power of a multiple of g, which still attains the exact modulus."""
+    sp = MetricMeasureSpace.from_matrix(_PATH3, [1e-200] * 3)
+    f = extremal_pair_function(sp, 0, 1, 0.5, 1.5)
+    assert lebesgue_norm(f, 1.5) == pytest.approx(1.0, rel=1e-12)
+    dual = equicontinuity_modulus(MetricMeasureSpace.from_matrix(_PATH3, [1.0] * 3), 0, 1, 0.5,
+                                  NormSpec(1.5, 1.5))[1]
+    avg = average(sp, f, 0.5).values
+    assert abs(avg[0] - avg[1]) == pytest.approx(dual * 1e200 ** (1 / 1.5), rel=1e-12)
 
 
 def test_distribution_constant_lattice200():

@@ -49,29 +49,34 @@ def _module_at(path: Path, name: str):
 
 
 def test_bench_span_table_names_resolve():
-    """Every name that bench/spans.py wraps by string still exists, so a
-    rename or deletion in src/ fails here, not in `bench/run.py --trace 1`;
-    and the wrappers it installs are all taken out again."""
+    """Every function and method that bench/spans.py wraps by string
+    resolves as `Tracer.install` looks it up, getattr on the module and the
+    class __dict__ for a method, so a rename or deletion in src/ fails
+    here, not in `bench/run.py --trace 1`; and the wrappers it installs
+    are all taken out again."""
     spans = _module_at(Path(__file__).resolve().parent.parent / "bench" / "spans.py",
                        "bench_spans")
-    originals, missing = {}, []
-    for entries in spans.LAYERS.values():
-        for module_name, functions, classes in entries:
-            module = importlib.import_module(f"loravg.{module_name}")
-            owners = {module_name: (module, functions)}
-            owners.update({f"{module_name}.{cls}": (getattr(module, cls, None), methods)
-                           for cls, methods in classes.items()})
-            for label, (owner, names) in owners.items():
-                for name in names:
-                    if owner is None or name not in vars(owner):
-                        missing.append(f"{label}.{name}")
-                    else:
-                        originals[f"{label}.{name}"] = (owner, name, vars(owner)[name])
-    assert missing == []
+
+    def resolved() -> dict:
+        """Each name of the span table -> what it resolves to (None if nothing)."""
+        out = {}
+        for entries in spans.LAYERS.values():
+            for module_name, functions, classes in entries:
+                module = importlib.import_module(f"loravg.{module_name}")
+                out.update({f"{module_name}.{name}": getattr(module, name, None)
+                            for name in functions})
+                for cls_name, methods in classes.items():
+                    members = getattr(getattr(module, cls_name, None), "__dict__", {})
+                    out.update({f"{module_name}.{cls_name}.{name}": members.get(name)
+                                for name in methods})
+        return out
+
+    originals = resolved()
+    assert [name for name, raw in originals.items() if raw is None] == []
     restore = spans.Tracer().install()
+    assert [name for name, raw in resolved().items() if raw is originals[name]] == []
     restore()
-    assert [q for q, (owner, name, raw) in originals.items()
-            if vars(owner)[name] is not raw] == []
+    assert [name for name, raw in resolved().items() if raw is not originals[name]] == []
 
 
 def test_benchmark_commands_pass_the_oracle(tmp_path, monkeypatch):

@@ -287,3 +287,21 @@ def test_function_arithmetic_and_space_mismatch():
         f + other
     with pytest.raises(DomainError):
         FunctionOnSpace(sp, [1.0, np.nan, 0.0, 0.0])
+
+
+def test_function_leaves_the_callers_array_alone():
+    """A function copies a writeable array it is given, as a space does: the
+    array stays writeable and shares no memory with the values, so a later
+    write misses the function.  A read-only C-contiguous float array is
+    taken as it is."""
+    sp = MetricMeasureSpace.lattice(3)
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    f = FunctionOnSpace(sp, values)
+    assert values.flags.writeable and not np.shares_memory(values, f.values)
+    values[:] = 7.0
+    assert np.array_equal(f.values, [1, 2, 3, 4]) and not f.values.flags.writeable
+    frozen = np.array([1.0, 2.0, 3.0, 4.0])
+    frozen.setflags(write=False)
+    assert FunctionOnSpace(sp, frozen).values is frozen
+    for column in (np.ones((4, 2))[:, 0], np.arange(4)):  # strided, and not float
+        assert np.array_equal(FunctionOnSpace(sp, column).values, column)

@@ -1042,10 +1042,10 @@ def test_ball_runs_are_computed_once_per_radius():
 
 
 def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
-    """symm_diff_measures reads per-atom runs and limb measures memoized
-    per radius, and one memo of the limbs' prefix sums: radii asked for
-    in any order give the bits of a fresh space, and the memos and the
-    limbs are read-only."""
+    """symm_diff_measures reads the runs of `ball_runs` and limb measures
+    memoized per radius, and one memo of the limbs' prefix sums: radii
+    asked for in any order give the bits of a fresh space, and the memos
+    are read-only."""
     coords = rng.uniform(0.0, 30.0, 60)
     weights = rng.uniform(0.2, 3.0, 60)
     sp = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
@@ -1055,9 +1055,11 @@ def test_line_symm_diff_memo_is_per_radius_and_read_only(rng):
         fresh = MetricMeasureSpace.from_cloud(coords[:, None], metric="l1", weights=weights)
         assert sd.tobytes() == fresh.symm_diff_measures(r, slice(3, 40)).tobytes()
     for r in (0.5, 2.0, 7.0):
-        lo, hi = sp._atom_runs(r)
+        lo, hi = sp.ball_runs(r)
         assert not lo.flags.writeable and not hi.flags.writeable
-        assert sp._atom_runs(r)[0] is lo
+        assert sp.ball_runs(r)[0] is lo
+        for x, mask in enumerate(sp.dist <= r):  # indexed by atom
+            assert np.array_equal(np.sort(sp.order[lo[x]:hi[x]]), np.flatnonzero(mask))
         assert not any(a.flags.writeable for a in sp._limb_measures(r))
         assert sp._limb_measures(r) is sp._limb_measures(r)
     assert not sp._limb_prefix.flags.writeable
