@@ -16,10 +16,10 @@ tight constants entering the paper-style bounds:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .errors import DomainError
 from .norms import (PLAIN, NormSpec, holder_constants, lebesgue_norm, lebesgue_norms, lorentz_norm,
                     lorentz_norms)
@@ -41,7 +41,7 @@ def check_ratios(lhs, rhs) -> np.ndarray:
     return np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
 
 
-@dataclass(frozen=True)
+@record
 class AveragingKernel:
     """The averaging operator at radius r.
 
@@ -157,7 +157,7 @@ def extremal_pair_function(space: MetricMeasureSpace, x: int, y: int, r: float,
     g /= np.abs(g).max() or 1.0  # a positive multiple, whose power cannot overflow
     pp = p / (p - 1.0)
     values = np.sign(g) * np.abs(g) ** (pp - 1.0)
-    f = FunctionOnSpace(space, values)
+    f = FunctionOnSpace._owning(space, values)
     norm = lebesgue_norm(f, p)
     if norm == 0.0:
         return f
@@ -184,7 +184,7 @@ def _integrable_profile(space: MetricMeasureSpace, f: FunctionOnSpace):
     return levels, t, F
 
 
-@dataclass(frozen=True)
+@record
 class DistributionInequalityReport:
     constant_c: float
     gammas: tuple[float, float, float]
@@ -249,7 +249,7 @@ def threshold_sweep(f: FunctionOnSpace) -> np.ndarray:
     return _threshold_grid(np.abs(f.values))
 
 
-@dataclass(frozen=True)
+@record
 class RearrangementBoundReport:
     constant_c: float
     max_ratio: float  # max over the grid of (A_r f)*(t) / f**(t)
@@ -276,7 +276,7 @@ def verify_rearrangement_bound(space: MetricMeasureSpace, f: FunctionOnSpace,
                                     passed=bool(holds(max_ratio, c)))
 
 
-@dataclass(frozen=True)
+@record
 class OperatorBoundReport:
     constant_c: float
     factor: float  # c p / (p - 1)

@@ -25,10 +25,10 @@ needs an array of one value per atom for each witness.
 
 import functools
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .averaging import AveragingKernel, sample_unit_sphere
 from .errors import DomainError
 from .norms import NormSpec, holder_constants, lorentz_norm, lorentz_norms, row_blocks
@@ -44,7 +44,7 @@ def norm_distance(f: FunctionOnSpace, g: FunctionOnSpace, spec: NormSpec) -> flo
     return lorentz_norm(f - g, spec)
 
 
-@dataclass(frozen=True)
+@record
 class CoveringReport:
     epsilon: float
     n_points: int
@@ -77,7 +77,7 @@ def covering_number(points: list[FunctionOnSpace], epsilon: float,
                           k=len(net), net_indices=net, max_residual=max_residual)
 
 
-@dataclass(frozen=True)
+@record
 class SupportRows:
     """Functions on a space kept on their supports: row i holds the atoms
     atoms[i] and the values values[i] there.  Rows are padded to a common
@@ -114,7 +114,7 @@ class SupportRows:
         for atoms, values in zip(self.atoms, self.values):
             dense = np.zeros(self.space.natoms + 1)
             dense[atoms] = values
-            out.append(FunctionOnSpace(self.space, dense[:-1]))
+            out.append(FunctionOnSpace._owning(self.space, dense[:-1]))
         return out
 
     def differences(self, first: np.ndarray, second: np.ndarray):
@@ -151,7 +151,7 @@ class SupportRows:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     centers: list[int]
     bounded_regime: bool       # fewer than 2 centers with separation > 4r
@@ -233,7 +233,7 @@ def witness_sequence(space: MetricMeasureSpace, r: float, k: int,
                          image_rows=images)
 
 
-@dataclass(frozen=True)
+@record
 class SimpleApproximation:
     centers: list[int]
     radii: list[float]
@@ -284,7 +284,7 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
     simple = np.zeros(space.natoms)
 
     def remainder_norm() -> float:
-        rem = FunctionOnSpace(space, np.where(covered, 0.0, g.values))
+        rem = FunctionOnSpace._owning(space, np.where(covered, 0.0, g.values))
         return lorentz_norm(rem, spec)
 
     # The remainder changes only when a ball is kept.
@@ -309,14 +309,14 @@ def simple_approximation(space: MetricMeasureSpace, g: FunctionOnSpace, epsilon:
         simple[mask] = g.values[x]
         covered |= mask
         remainder = remainder_norm()
-    approx = FunctionOnSpace(space, simple)
+    approx = FunctionOnSpace._owning(space, simple)
     return SimpleApproximation(centers=centers, radii=radii,
                                coefficients=coefficients, function=approx,
                                error=norm_distance(g, approx, spec),
                                remainder_norm=remainder)
 
 
-@dataclass(frozen=True)
+@record
 class ProbeRow:
     label: str
     natoms: int

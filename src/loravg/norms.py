@@ -31,10 +31,10 @@ small however many rows there are.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .errors import DomainError, NotInSpaceError
 from .rearrange import FunctionOnSpace, runs, sorted_profile
 
@@ -58,7 +58,7 @@ _GAUSS_WEIGHTS = np.array([
 _ROW_BLOCK_ENTRIES = 1 << 11
 
 
-@dataclass(frozen=True)
+@record
 class NormSpec:
     """Lorentz index pair (p, q) plus the variant of the norm.
 
@@ -281,7 +281,7 @@ def chi_norm_closed_form(measure_A: float, spec: NormSpec) -> float:
     return (p * p / (q * (p - 1.0))) ** (1.0 / q) * measure_A ** (1.0 / p)
 
 
-@dataclass(frozen=True)
+@record
 class HolderConstants:
     """lambda and alpha(A) = lambda * mu(A)^{1-1/p} from the dual-index
     indicator norm; alpha bounds the integral of |f| over A by

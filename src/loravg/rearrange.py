@@ -20,15 +20,14 @@ mu_f and f* share their breakpoints bitwise, which makes equimeasurability
 an exact identity rather than a tolerance check.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import record
 from .errors import DomainError
 from .space import MetricMeasureSpace, _read_only
 
 
-@dataclass(frozen=True)
+@record
 class FunctionOnSpace:
     """A real value per atom of a fixed space, which takes values as a
     space takes its arrays (see `space._read_only`)."""
@@ -45,27 +44,34 @@ class FunctionOnSpace:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _owning(cls, space: MetricMeasureSpace, values: np.ndarray) -> "FunctionOnSpace":
+        """The function of values, a new float array that nothing else
+        holds, made read-only in place so that it is taken without a copy."""
+        values.setflags(write=False)
+        return cls(space, values)
+
+    @classmethod
     def indicator(cls, space: MetricMeasureSpace, atoms) -> "FunctionOnSpace":
         """Characteristic function of an atom set (indices or boolean mask)."""
         values = np.zeros(space.natoms)
         values[np.asarray(atoms)] = 1.0
-        return cls(space, values)
+        return cls._owning(space, values)
 
     def __add__(self, other: "FunctionOnSpace") -> "FunctionOnSpace":
         self._check_same_space(other)
-        return FunctionOnSpace(self.space, self.values + other.values)
+        return FunctionOnSpace._owning(self.space, self.values + other.values)
 
     def __sub__(self, other: "FunctionOnSpace") -> "FunctionOnSpace":
         self._check_same_space(other)
-        return FunctionOnSpace(self.space, self.values - other.values)
+        return FunctionOnSpace._owning(self.space, self.values - other.values)
 
     def __mul__(self, c: float) -> "FunctionOnSpace":
-        return FunctionOnSpace(self.space, self.values * float(c))
+        return FunctionOnSpace._owning(self.space, self.values * float(c))
 
     __rmul__ = __mul__
 
     def __abs__(self) -> "FunctionOnSpace":
-        return FunctionOnSpace(self.space, np.abs(self.values))
+        return FunctionOnSpace._owning(self.space, np.abs(self.values))
 
     def __eq__(self, other) -> bool:
         """Same space and the same value at every atom."""
@@ -122,7 +128,7 @@ def sorted_distinct(values) -> np.ndarray:
     return values[keep]
 
 
-@dataclass(frozen=True)
+@record
 class StepFunction:
     """Nonincreasing right-continuous step function on [0, inf): levels[i]
     on [breakpoints[i], breakpoints[i+1]) and 0 beyond the last breakpoint,
@@ -168,7 +174,7 @@ def rearrangement(f: FunctionOnSpace) -> StepFunction:
     return StepFunction(t, levels)
 
 
-@dataclass(frozen=True)
+@record
 class MaximalProfile:
     """f**(t) = F(t)/t with F the piecewise-linear primitive of f*.
 

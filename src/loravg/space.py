@@ -28,10 +28,10 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .decode import pack_floats
 from .errors import DomainError, MetricViolationError
 
@@ -755,7 +755,7 @@ def symm_diff_measure(space: MetricMeasureSpace, x: int, y: int, r: float) -> fl
     return math.fsum(space.weights[space.ball_mask(x, r) ^ space.ball_mask(y, r)].tolist())
 
 
-@dataclass(frozen=True)
+@record
 class BoundednessReport:
     """The quantities linking boundedness, doubling and total boundedness."""
 

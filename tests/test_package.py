@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loravg
-from loravg import cli
+from loravg import DomainError, FunctionOnSpace, MetricMeasureSpace, cli
+from loravg.compactness import SupportRows
 
 from conftest import fresh_env
 
@@ -115,6 +117,7 @@ def loaded():
 report = {"on_import": loaded()}
 loravg.build_space({"kind": "matrix", "dist": [[0, 1], [1, 0]]})
 report["after_build_space"] = loaded()
+report["dataclasses"] = "dataclasses" in sys.modules
 report["unresolved"] = [name for name in loravg.__all__ if not hasattr(loravg, name)]
 report["not_in_dir"] = sorted(set(loravg.__all__) - set(dir(loravg)))
 try:
@@ -126,20 +129,21 @@ print(json.dumps(report))
 
 # A fresh process runs one command, its artifact discarded, and reports on
 # stderr its exit code, the package modules loaded, and whether OpenSSL's
-# _hashlib, numpy.ma and numpy.random were.
+# _hashlib, numpy.ma, dataclasses and numpy.random were.
 _COMMAND_GUARD = """
 import contextlib, io, json, sys
 from loravg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("loravg.")),
-                  *(name in sys.modules for name in ("_hashlib", "numpy.ma", "numpy.random"))]),
+                  *(name in sys.modules
+                    for name in ("_hashlib", "numpy.ma", "dataclasses", "numpy.random"))]),
       file=sys.stderr)
 """
 
-# Every command below loads cli, decode, errors and space; one that reads a
-# function or a norm spec also loads norms and rearrange.
-_CLI_MODULES = ["cli", "decode", "errors", "space"]
+# Every command below loads _records, cli, decode, errors and space; one that
+# reads a function or a norm spec also loads norms and rearrange.
+_CLI_MODULES = ["_records", "cli", "decode", "errors", "space"]
 _NORMS = ["norms", "rearrange"]
 _P2_Q2 = ["--p", "2", "--q", "2"]
 # name -> (argv, the package modules it loads beyond _CLI_MODULES, whether
@@ -176,12 +180,14 @@ def _run_fresh(code: str, *args) -> subprocess.CompletedProcess:
 
 
 def test_package_names_are_lazy():
-    """`import loravg` loads no submodule and `build_space` only the three
-    it needs; every public name still resolves, and an unknown one is an
-    AttributeError."""
+    """`import loravg` loads no submodule and `build_space` only the four
+    it needs, and not dataclasses; every public name still resolves, and an
+    unknown one is an AttributeError."""
     report = json.loads(_run_fresh(_LAZY_GUARD).stdout)
     assert report == {"on_import": [],
-                      "after_build_space": ["loravg.decode", "loravg.errors", "loravg.space"],
+                      "after_build_space": ["loravg._records", "loravg.decode", "loravg.errors",
+                                            "loravg.space"],
+                      "dataclasses": False,
                       "unresolved": [], "not_in_dir": [], "unknown": "AttributeError"}
 
 
@@ -196,8 +202,9 @@ def test_unit_sphere_sampler_resolves_from_the_package_and_compactness():
 def test_commands_import_only_what_they_run(tmp_path):
     """Each command, in a fresh process, exits 0 having loaded the package
     modules of its row in _COMMAND_IMPORTS, numpy.random if and only if the
-    row is seeded, and never OpenSSL or numpy.ma, which numpy 2.4's
-    np.unique imports; a mismatch is reported under the command's name."""
+    row is seeded, and never OpenSSL, numpy.ma, which numpy 2.4's np.unique
+    imports, or dataclasses; a mismatch is reported under the command's
+    name."""
     files = {"SPACE": tmp_path / "space.json", "FN": tmp_path / "fn.json"}
     files["SPACE"].write_text(json.dumps({"kind": "cloud", "metric": "l1",
                                           "coords": [[float(x)] for x in range(12)]}))
@@ -207,7 +214,7 @@ def test_commands_import_only_what_they_run(tmp_path):
         argv = [str(files.get(arg, arg)) for arg in argv]
         res = _run_fresh(_COMMAND_GUARD, json.dumps(argv))
         seen[name] = json.loads(res.stderr.strip().splitlines()[-1])
-        expected[name] = [0, sorted(_CLI_MODULES + modules), False, False, seeded]
+        expected[name] = [0, sorted(_CLI_MODULES + modules), False, False, False, seeded]
     assert seen == expected
 
 
@@ -274,3 +281,118 @@ def test_digest_is_sha256(tmp_path, monkeypatch, branch):
         data = rng.randbytes(size)
         path.write_bytes(data)
         assert cli._digest(str(path)) == "sha256:" + hashlib.sha256(data).hexdigest(), size
+
+
+# Each record class -> its module, its fields in order with a value each, and
+# another value of its last field that makes the record unequal (None where
+# that comparison would compare arrays, whose == has no truth value).
+# "SPACE", "VALUES", "FUNCTION" and "ROWS" stand for a 3-atom space, a
+# read-only array of one value per atom, the function of VALUES and one row
+# on that space, whose arrays are "ATOMS" and "ROW_VALUES".
+_RECORDS = {
+    "BoundednessReport": ("space", {"radius": 1.0, "diameter": 2.0, "total_measure": 3.0,
+                                    "min_ball_measure": 1.0, "min_ball_ratio": 0.5,
+                                    "doubling_r": 2.0, "doubling_2r": 2.0, "doubling_4r": 1.0},
+                          3.0),
+    "NormSpec": ("norms", {"p": 2.0, "q": 1.5, "variant": "double-star"}, "plain"),
+    "HolderConstants": ("norms", {"lam": 1.0, "alpha": 2.0}, 3.0),
+    "FunctionOnSpace": ("rearrange", {"space": "SPACE", "values": "VALUES"}, [1.0, 2.0, 3.0]),
+    "StepFunction": ("rearrange", {"breakpoints": "VALUES", "levels": "VALUES"}, None),
+    "MaximalProfile": ("rearrange", {"breakpoints": "VALUES", "node_values": "VALUES",
+                                     "slopes": "VALUES"}, None),
+    "AveragingKernel": ("averaging", {"space": "SPACE", "r": 1.0, "ball_measures": "VALUES"},
+                        None),
+    "DistributionInequalityReport": ("averaging", {"constant_c": 5.0, "gammas": (2.0, 2.0, 1.0),
+                                                   "t": 0.5, "lhs": 1.0, "rhs": 2.0,
+                                                   "ratio": 0.5, "passed": True}, False),
+    "RearrangementBoundReport": ("averaging", {"constant_c": 5.0, "max_ratio": 0.5,
+                                               "worst_t": 1.0, "passed": True}, False),
+    "OperatorBoundReport": ("averaging", {"constant_c": 5.0, "factor": 10.0, "lhs": 1.0,
+                                          "rhs": 2.0, "passed": True}, False),
+    "CoveringReport": ("compactness", {"epsilon": 0.5, "n_points": 3, "k": 2,
+                                       "net_indices": [0, 2], "max_residual": 0.25}, 0.5),
+    "SupportRows": ("compactness", {"space": "SPACE", "atoms": "ATOMS", "values": "ROW_VALUES"},
+                    None),
+    "WitnessReport": ("compactness", {"centers": [0, 2], "bounded_regime": False,
+                                      "c_lower": 0.5, "distances": None, "min_pairwise": 1.0,
+                                      "witness_norms": [1.0, 1.0], "bumps": "ROWS",
+                                      "image_rows": "ROWS"}, None),
+    "SimpleApproximation": ("compactness", {"centers": [0], "radii": [1.0], "coefficients": [1.0],
+                                            "function": "FUNCTION", "error": 0.5,
+                                            "remainder_norm": 0.25}, 0.5),
+    "ProbeRow": ("compactness", {"label": "3", "natoms": 3, "k": 1, "witness_count": 0,
+                                 "witness_min": None, "c_lower": 0.5}, 1.0),
+}
+# Fields with a default, the class arguments __post_init__ refuses, and the
+# cached properties that a record computes once.
+_DEFAULTS = {"NormSpec": {"variant": "plain"},
+             "WitnessReport": {"bumps": None, "image_rows": None}}
+_REFUSED = {"NormSpec": [(2, 2, "bad")],
+            "FunctionOnSpace": [("SPACE", [1.0, 2.0]), ("SPACE", [1.0, float("nan"), 0.0])]}
+_CACHED = {"SupportRows": "_padded_weights", "WitnessReport": "images"}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_record_classes_are_immutable_values(name):
+    """Every class the package builds with `_records.record` takes its
+    fields by position or keyword in order, fills in its defaults, runs its
+    __post_init__, refuses assignment and deletion, compares and hashes as
+    its tuple of fields (FunctionOnSpace by its own __eq__), has the repr
+    Name(field=value, ...) and keeps a cached property once computed."""
+    module, fields, other = _RECORDS[name]
+    cls = getattr(importlib.import_module(f"loravg.{module}"), name)
+    space = MetricMeasureSpace.lattice(2)
+    values = np.array([1.0, -2.0, 0.5])
+    values.setflags(write=False)
+    rows = SupportRows.pack(space, [np.array([0, 1])], [np.array([1.0, 2.0])])
+    stand_ins = {"SPACE": space, "VALUES": values, "ROWS": rows, "ATOMS": rows.atoms,
+                 "ROW_VALUES": rows.values, "FUNCTION": FunctionOnSpace(space, values)}
+
+    def fill(value):
+        return stand_ins.get(value, value) if isinstance(value, str) else value
+
+    fields = {key: fill(value) for key, value in fields.items()}
+    last = list(fields)[-1]
+
+    first, second = cls(*fields.values()), cls(**fields)
+    for record in first, second:
+        assert [getattr(record, key) for key in fields] == list(fields.values())
+        assert all(getattr(record, key) is value for key, value in fields.items())
+    defaults = _DEFAULTS.get(name, {})
+    required = {key: value for key, value in fields.items() if key not in defaults}
+    assert {key: getattr(cls(**required), key) for key in defaults} == defaults
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    for bad in ({**fields, "extra": None}, dict(list(fields.items())[1:])):
+        with pytest.raises(TypeError):
+            cls(**bad)
+    for args in _REFUSED.get(name, []):
+        with pytest.raises(DomainError):
+            cls(*map(fill, args))
+
+    for key in (last, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(second, key, None)
+        with pytest.raises(AttributeError):
+            delattr(second, key)
+    assert getattr(second, last) is fields[last] and not hasattr(second, "extra")
+
+    assert first == second and not first != second
+    if other is not None:
+        assert first != cls(**{**fields, last: other})
+    if name == "FunctionOnSpace":
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        try:
+            expected = hash(tuple(fields.values()))
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second) == expected
+    assert repr(first) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+    if name in _CACHED:
+        cached = getattr(first, _CACHED[name])
+        assert getattr(first, _CACHED[name]) is cached and vars(first)[_CACHED[name]] is cached

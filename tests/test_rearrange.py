@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,3 +307,23 @@ def test_function_leaves_the_callers_array_alone():
     assert FunctionOnSpace(sp, frozen).values is frozen
     for column in (np.ones((4, 2))[:, 0], np.arange(4)):  # strided, and not float
         assert np.array_equal(FunctionOnSpace(sp, column).values, column)
+
+
+@pytest.mark.parametrize("make", [lambda f: f * 2.0, lambda f: 2.0 * f, lambda f: f + f,
+                                  lambda f: f - f, abs,
+                                  lambda f: FunctionOnSpace.indicator(f.space, [0, 5, 7])],
+                         ids=["mul", "rmul", "add", "sub", "abs", "indicator"])
+def test_new_functions_hold_their_one_new_array(make):
+    """A function the package forms from a new array takes that array, made
+    read-only, without a copy: on 10^5 atoms each form peaks at about one
+    array of values under tracemalloc, not two."""
+    sp = MetricMeasureSpace.lattice(99_999)
+    f = FunctionOnSpace(sp, np.linspace(-1.0, 1.0, sp.natoms))
+    tracemalloc.start()
+    try:
+        g = make(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * f.values.nbytes, peak
+    assert not g.values.flags.writeable
